@@ -92,6 +92,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"grafics_fleet_wal_shipped_bytes_total",
 		"grafics_fleet_repl_lag_bytes",
 		"grafics_fleet_scatter_seconds_count",
+		"grafics_fleet_routed_reads_total",
 		// Robustness instrumentation: circuit breakers, write-path
 		// admission control, WAL poisoning, and degraded read-only mode
 		// all expose plain series even while everything is healthy.

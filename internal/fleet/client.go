@@ -96,7 +96,17 @@ func drainError(resp *http.Response) error {
 
 // Status fetches GET /v2/repl/status.
 func (c *Client) Status(ctx context.Context) (ReplStatus, error) {
-	resp, err := c.get(ctx, "/v2/repl/status")
+	return c.status(ctx, "/v2/repl/status")
+}
+
+// StatusMACs is Status asking for the node's MAC sets too: the reply
+// carries MACsVersion, and MACs unless since is that version.
+func (c *Client) StatusMACs(ctx context.Context, since uint64) (ReplStatus, error) {
+	return c.status(ctx, "/v2/repl/status?macs="+strconv.FormatUint(since, 10))
+}
+
+func (c *Client) status(ctx context.Context, path string) (ReplStatus, error) {
+	resp, err := c.get(ctx, path)
 	if err != nil {
 		return ReplStatus{}, err
 	}

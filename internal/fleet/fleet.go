@@ -27,10 +27,16 @@
 //     with server.ErrReadOnly (HTTP 421). A follower reports Ready only
 //     when its applied position is within a configurable byte bound of
 //     the primary's and its last successful sync is recent.
-//   - Router: a stateless tier that consistent-hashes buildings across
-//     shard groups, forwards writes to the owning group's primary,
-//     spreads reads over caught-up followers, health-checks members, and
-//     automatically promotes the freshest follower when a primary dies.
+//   - Router: a stateless tier that routes every scan in one hop. Every
+//     member reports its buildings' MAC sets on the status poll (only
+//     when they changed), and the router builds one fleet-wide inverted
+//     MAC index (portfolio.MACIndex) from each group's primary's report,
+//     or its most caught-up member's while it knows of no primary in the
+//     group. A read goes to one caught-up member of the group holding the
+//     winning building, an absorb straight to that group's primary; only
+//     a scan whose MACs no group has reported is scattered to every
+//     group. The router also health-checks members and automatically
+//     promotes the freshest follower when a primary dies.
 //
 // Positions are wal.Position (segment index + byte offset) tagged with
 // the log's epoch. Any WAL truncation on the primary (snapshot, refit)
@@ -77,12 +83,19 @@ var (
 
 // ReplStatus is the wire shape of GET /v2/repl/status. It extends the
 // ReplInfo embedded in /v2/healthz and /v2/stats with the data a router
-// or follower needs: the building set (for routing) and the segment
-// directory (for observability).
+// or follower needs: the building set, the segment directory (for
+// observability) and, on a poll with ?macs=<version>, the MAC sets a
+// router routes by.
 type ReplStatus struct {
 	server.ReplInfo
 	Buildings []string          `json:"buildings,omitempty"`
 	Segments  []wal.SegmentInfo `json:"segments,omitempty"`
+	// MACsVersion is the version of the node's attribution index; it is
+	// reported only when the poll asked with ?macs=.
+	MACsVersion uint64 `json:"macs_version,omitempty"`
+	// MACs maps each building to its MAC set. It travels only when the
+	// poll's ?macs= version is not MACsVersion.
+	MACs map[string][]string `json:"macs,omitempty"`
 }
 
 // Replication HTTP headers. Raw WAL chunks travel as
@@ -108,7 +121,6 @@ const (
 	defaultHealthInterval = time.Second
 	defaultLagBound       = int64(1 << 20)
 	defaultFailThreshold  = 3
-	defaultVirtualNodes   = 64
 	// defaultRetryBudget caps exponential backoff at base×2^budget and
 	// bounds the retry attempts a routed write spends before giving up.
 	defaultRetryBudget = 3

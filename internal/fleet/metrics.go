@@ -1,8 +1,8 @@
 // Fleet observability instruments, covering both sides of replication
 // and the routing tier. Replication lag and ack-wait time are the
-// operator's early warning for a follower falling behind; scatter
-// latency and failover counts describe what clients experience through
-// the router.
+// operator's early warning for a follower falling behind; how reads are
+// routed, scatter latency and failover counts describe what clients
+// experience through the router.
 
 package fleet
 
@@ -28,6 +28,11 @@ var (
 		"Failed follower sync cycles (fetch, mirror, or apply).")
 
 	// Router tier.
+	routedReadsTotal = obs.Default().CounterVec("grafics_fleet_routed_reads_total",
+		"Reads the router routed: path=index sent to one group by the MAC index, path=scatter asked every group because the index holds none of the scan's MACs.", "path")
+	// Both children exist from init, so each exports at zero.
+	routedIndex    = routedReadsTotal.With("index")
+	routedScatter  = routedReadsTotal.With("scatter")
 	scatterSeconds = obs.Default().Histogram("grafics_fleet_scatter_seconds",
 		"Wall time of one read scatter across all groups.", obs.TimeBuckets)
 	breakerStateGauge = obs.Default().GaugeVec("grafics_fleet_breaker_state",
@@ -35,7 +40,7 @@ var (
 	breakerOpensTotal = obs.Default().Counter("grafics_fleet_breaker_opens_total",
 		"Circuit breaker transitions into the open state.")
 	retriesTotal = obs.Default().CounterVec("grafics_fleet_retries_total",
-		"Retry attempts by operation: scatter read failovers and forwarded write retries.", "op")
+		"Retry attempts by operation: read failovers to another replica and forwarded write retries.", "op")
 	forwardedWritesTotal = obs.Default().Counter("grafics_fleet_forwarded_writes_total",
 		"Absorbs forwarded to an owning group's primary.")
 	failoversTotal = obs.Default().Counter("grafics_fleet_failovers_total",

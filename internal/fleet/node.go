@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,6 +261,13 @@ func (n *Node) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 		names := n.p.Buildings()
 		sort.Strings(names)
 		status.Buildings = names
+	}
+	// A router asks with ?macs=<the version it holds>; the sets travel
+	// only when that version is stale (an unparsable one reads as 0, which
+	// no index has).
+	if q := r.URL.Query(); q.Has("macs") {
+		since, _ := strconv.ParseUint(q.Get("macs"), 10, 64)
+		status.MACsVersion, status.MACs = n.p.MACSets(since)
 	}
 	w.Header().Set(headerNodeRole, string(st.role))
 	writeJSON(w, http.StatusOK, status)

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/portfolio"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -35,14 +38,11 @@ type RouterOptions struct {
 	// DisableFailover turns off automatic promotion (manual promote via
 	// the admin surface still works).
 	DisableFailover bool
-	// VirtualNodes tunes the rebalance-plan ring.
-	VirtualNodes int
 	// HTTPTimeout bounds each forwarded or health request.
 	HTTPTimeout time.Duration
 	// RetryBudget bounds the retry attempts (with jittered exponential
 	// backoff) a forwarded write spends on retryable failures, and the
-	// extra replicas a scatter read fails over to. Default
-	// defaultRetryBudget.
+	// extra replicas a read fails over to. Default defaultRetryBudget.
 	RetryBudget int
 	// BreakerThreshold opens a member's circuit breaker after this many
 	// consecutive failures; an open member serves no reads until a
@@ -91,19 +91,11 @@ type FleetStatus struct {
 	Groups  []GroupStatus `json:"groups"`
 }
 
-// RebalanceMove is one entry of a rebalance plan.
-type RebalanceMove struct {
-	Building string `json:"building"`
-	From     string `json:"from"`
-	To       string `json:"to"`
-}
-
-// routerMaxBatch bounds a routed batch; per-scan scatter makes batches
-// G times as expensive as on a node, so the cap is tighter than a
-// node's.
+// routerMaxBatch bounds a routed batch; every scan is a hop of its own,
+// so the cap is tighter than a node's.
 const routerMaxBatch = 4096
 
-// routerBatchWorkers bounds concurrent scatters inside one batch.
+// routerBatchWorkers bounds concurrently routed scans inside one batch.
 const routerBatchWorkers = 16
 
 // failoverCooldown is how long a group waits between promotion attempts,
@@ -115,18 +107,24 @@ const failoverCooldownTicks = 5
 // budget.
 const forwardRetryBase = 100 * time.Millisecond
 
-// Router is the fleet's front door: it spreads reads over caught-up
-// followers, forwards writes to the owning group's primary, aggregates
-// stats, health-checks every member, and promotes the freshest follower
-// when a primary dies.
+// Router is the fleet's front door: it routes each scan by a fleet-wide
+// MAC index to the one group holding its building, spreads reads over
+// that group's caught-up followers, forwards writes to its primary,
+// aggregates stats, health-checks every member, and promotes the
+// freshest follower when a primary dies.
 type Router struct {
 	opts   RouterOptions
 	groups [][]string
-	ring   *Ring // immutable: group keys never change
 	hc     *http.Client
 	logf   func(string, ...any)
 	mux    *http.ServeMux
 	rr     atomic.Uint64
+
+	// index attributes scans across the fleet. pollAll rebuilds it from
+	// the MAC sets each group's index source reports (see indexSource)
+	// and publishes it whole; reads load it without a lock and never
+	// mutate it.
+	index atomic.Pointer[portfolio.MACIndex]
 
 	mu sync.Mutex
 	// grafics:guardedby mu
@@ -137,6 +135,15 @@ type Router struct {
 	lastFailover map[int]time.Time
 	// grafics:guardedby mu
 	breakers map[string]*breaker
+	// macs is every member's last MAC-set report.
+	//
+	// grafics:guardedby mu
+	macs map[string]memberMACs
+	// sources is the member whose report each group's slice of index
+	// was built from.
+	//
+	// grafics:guardedby mu
+	sources []string
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -179,8 +186,8 @@ func ParseGroups(s string) ([][]string, error) {
 	return groups, nil
 }
 
-// groupKey names a shard group on the ring; group identity is positional
-// and stable across failover.
+// groupKey names a shard group; group identity is positional and stable
+// across failover.
 func groupKey(i int) string { return "shard-" + strconv.Itoa(i) }
 
 // NewRouter builds the routing tier. Call Start to begin health checks.
@@ -203,23 +210,20 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if logf == nil {
 		logf = nopLogf
 	}
-	keys := make([]string, len(opts.Groups))
-	for i := range opts.Groups {
-		keys[i] = groupKey(i)
-	}
 	rt := &Router{
 		opts:         opts,
 		groups:       opts.Groups,
-		ring:         NewRing(keys, opts.VirtualNodes),
 		hc:           &http.Client{Timeout: opts.HTTPTimeout, Transport: opts.Transport},
 		logf:         logf,
 		state:        make(map[string]MemberState),
 		drained:      make(map[string]bool),
 		lastFailover: make(map[int]time.Time),
 		breakers:     make(map[string]*breaker),
+		macs:         make(map[string]memberMACs),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
+	rt.index.Store(portfolio.NewMACIndex())
 	mux := http.NewServeMux()
 	rhandle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, obs.InstrumentHandler(pattern, h))
@@ -227,14 +231,13 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rhandle("GET /v2/healthz", rt.handleHealthz)
 	rhandle("GET /v2/stats", rt.handleStats)
 	rhandle("GET /v2/metrics", obs.Default().Handler().ServeHTTP)
-	rhandle("POST /v2/classify", rt.handleClassify(false))
-	rhandle("POST /v2/absorb", rt.handleClassify(true))
+	rhandle("POST /v2/classify", rt.handleClassify("/v2/classify"))
+	rhandle("POST /v2/absorb", rt.handleClassify("/v2/absorb"))
 	rhandle("POST /v2/classify/batch", rt.handleClassifyBatch)
 	rhandle("DELETE /v2/macs/{mac}", rt.handleRemoveMAC)
 	rhandle("GET /v2/admin/fleet", rt.handleFleet)
 	rhandle("POST /v2/admin/fleet/promote", rt.handleFleetPromote)
 	rhandle("POST /v2/admin/fleet/drain", rt.handleFleetDrain)
-	rhandle("GET /v2/admin/fleet/rebalance", rt.handleFleetRebalance)
 	rt.mux = mux
 	return rt, nil
 }
@@ -243,7 +246,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 
 // Start launches the health/failover loop; ctx cancellation or Stop ends
 // it. The first poll runs synchronously so the router boots with a view
-// of the fleet.
+// of the fleet and a complete routing index.
 func (rt *Router) Start(ctx context.Context) {
 	rt.startOnce.Do(func() {
 		rt.pollAll(ctx)
@@ -310,7 +313,14 @@ func (rt *Router) noteOutcome(url string, ok bool) {
 	}
 }
 
-// pollAll refreshes every member's observed state in parallel.
+// memberMACs is one member's report of its attribution index.
+type memberMACs struct {
+	version uint64
+	sets    map[string][]string // building → MACs
+}
+
+// pollAll refreshes every member's observed state in parallel, then the
+// routing index if a group's MAC sets or primary changed.
 func (rt *Router) pollAll(ctx context.Context) {
 	type slot struct {
 		url   string
@@ -323,28 +333,95 @@ func (rt *Router) pollAll(ctx context.Context) {
 		}
 	}
 	fresh := make([]MemberState, len(slots))
+	reports := make([]*memberMACs, len(slots))
 	_ = par.ForEachCtx(ctx, len(slots), func(i int) {
-		fresh[i] = rt.pollMember(ctx, slots[i].url, slots[i].group)
+		fresh[i], reports[i] = rt.pollMember(ctx, slots[i].url, slots[i].group)
 	})
+	changed := false
 	rt.mu.Lock()
-	for _, ms := range fresh {
+	for i, ms := range fresh {
 		if ms.URL == "" { // cancelled before this slot ran
 			continue
 		}
 		ms.Drained = rt.drained[ms.URL]
 		rt.state[ms.URL] = ms
+		if reports[i] != nil {
+			rt.macs[ms.URL] = *reports[i]
+			changed = true
+		}
 	}
 	rt.mu.Unlock()
+	rt.refreshIndex(changed)
 }
 
-func (rt *Router) pollMember(ctx context.Context, url string, group int) MemberState {
+// refreshIndex rebuilds the routing index from each group's index
+// source's last MAC-set report when a report changed or a group's source
+// did. A building two groups report is routed to the lower one.
+func (rt *Router) refreshIndex(changed bool) {
+	sources := make([]string, len(rt.groups))
+	for gi := range rt.groups {
+		sources[gi] = rt.indexSource(gi)
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !changed && slices.Equal(sources, rt.sources) {
+		return
+	}
+	idx := portfolio.NewMACIndex()
+	claimed := make(map[string]bool)
+	for gi, u := range sources {
+		for building, macs := range rt.macs[u].sets {
+			if !claimed[building] {
+				claimed[building] = true
+				idx.Set(building, gi, macs)
+			}
+		}
+	}
+	rt.sources = sources
+	rt.index.Store(idx)
+}
+
+// indexSource names the member whose report group gi's part of the
+// index is built from: the primary writes go to. While the router knows
+// of no primary in the group — one that was already down when the router
+// started, say — it is the reporting member that has applied the most of
+// the group's log, since the group's reads are served from those
+// replicas meanwhile. "" means no member of the group has reported.
+func (rt *Router) indexSource(gi int) string {
+	primary, _ := rt.pickPrimary(gi)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if _, ok := rt.macs[primary]; ok {
+		return primary
+	}
+	src := ""
+	for _, u := range rt.groups[gi] {
+		if _, ok := rt.macs[u]; ok && (src == "" || rt.state[src].Applied.Less(rt.state[u].Applied)) {
+			src = u
+		}
+	}
+	return src
+}
+
+// macVersion returns the index version member url last reported, 0 if
+// none; no node's index has version 0.
+func (rt *Router) macVersion(url string) uint64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.macs[url].version
+}
+
+// pollMember fetches one member's status together with its MAC sets,
+// which come back only when its index version moved.
+func (rt *Router) pollMember(ctx context.Context, url string, group int) (MemberState, *memberMACs) {
 	prev, _ := rt.member(url)
 	ms := MemberState{URL: url, Group: group, LastSeen: time.Now()}
 	// Polls bypass allow() — they are how an open circuit gets probed —
 	// but allow() is still called to advance open→half-open once the
 	// cooldown has elapsed, so this poll is the half-open probe.
 	rt.breakerFor(url).allow()
-	st, err := NewClientWith(url, rt.opts.HTTPTimeout, rt.opts.Transport).Status(ctx)
+	since := rt.macVersion(url)
+	st, err := NewClientWith(url, rt.opts.HTTPTimeout, rt.opts.Transport).StatusMACs(ctx, since)
 	if ctx.Err() == nil {
 		rt.noteOutcome(url, err == nil)
 	}
@@ -360,7 +437,7 @@ func (rt *Router) pollMember(ctx context.Context, url string, group int) MemberS
 		ms.Healthy = ms.Failures < rt.opts.FailThreshold && prev.Role != ""
 		ms.Error = err.Error()
 		ms.LastSeen = prev.LastSeen
-		return ms
+		return ms, nil
 	}
 	ms.Role = st.Role
 	ms.Primary = st.Primary
@@ -371,7 +448,10 @@ func (rt *Router) pollMember(ctx context.Context, url string, group int) MemberS
 	ms.Ready = st.Ready
 	ms.Healthy = true
 	ms.Buildings = st.Buildings
-	return ms
+	if st.MACsVersion == since {
+		return ms, nil
+	}
+	return ms, &memberMACs{version: st.MACsVersion, sets: st.MACs}
 }
 
 func (rt *Router) member(url string) (MemberState, bool) {
@@ -580,13 +660,12 @@ func (rt *Router) forward(ctx context.Context, method, url, path string, body []
 	return resp.StatusCode, data, nil
 }
 
-// scatterOutcome is one group's answer to a scattered classify.
+// scatterOutcome is one group's answer to a classify.
 type scatterOutcome struct {
 	group  int
-	url    string
 	status int
 	body   []byte
-	parsed *server.ClassifyResponse
+	parsed *server.ClassifyResponse // a scattered 200's reply, for its overlap
 	err    error
 }
 
@@ -599,16 +678,23 @@ func (rt *Router) scatterClassify(ctx context.Context, body []byte) []scatterOut
 	defer func() { scatterSeconds.Observe(time.Since(start).Seconds()) }()
 	out := make([]scatterOutcome, len(rt.groups))
 	_ = par.ForEachCtx(ctx, len(rt.groups), func(gi int) {
-		out[gi] = rt.scatterGroup(ctx, gi, body)
+		o := rt.readGroup(ctx, gi, body)
+		if o.status == http.StatusOK {
+			var cr server.ClassifyResponse
+			if err := json.Unmarshal(o.body, &cr); err == nil {
+				o.parsed = &cr
+			}
+		}
+		out[gi] = o
 	})
 	return out
 }
 
-// scatterGroup asks one member of group gi to classify, failing over to
+// readGroup asks one member of group gi to classify, failing over to
 // the next replica (up to the retry budget) when the chosen member
 // errors or answers 5xx — a read should survive any single replica
 // dying between health polls.
-func (rt *Router) scatterGroup(ctx context.Context, gi int, body []byte) scatterOutcome {
+func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOutcome {
 	o := scatterOutcome{group: gi}
 	tried := make(map[string]bool)
 	attempts := rt.opts.RetryBudget + 1
@@ -621,9 +707,8 @@ func (rt *Router) scatterGroup(ctx context.Context, gi int, body []byte) scatter
 			break
 		}
 		tried[url] = true
-		o.url = url
 		if attempt > 0 {
-			retriesTotal.With("scatter").Inc()
+			retriesTotal.With("read").Inc()
 		}
 		status, data, err := rt.forward(ctx, http.MethodPost, url, "/v2/classify", body)
 		if ctx.Err() == nil {
@@ -641,12 +726,6 @@ func (rt *Router) scatterGroup(ctx context.Context, gi int, body []byte) scatter
 			// The replica answered but can't serve; another may.
 			continue
 		}
-		if status == http.StatusOK {
-			var cr server.ClassifyResponse
-			if err := json.Unmarshal(data, &cr); err == nil {
-				o.parsed = &cr
-			}
-		}
 		return o
 	}
 	if o.status == 0 && o.err == nil {
@@ -655,9 +734,12 @@ func (rt *Router) scatterGroup(ctx context.Context, gi int, body []byte) scatter
 	return o
 }
 
-// bestOutcome picks the attribution winner: the 200 with the highest
-// MAC overlap. 422 means "no building of mine matches" and is skipped.
-func bestOutcome(outcomes []scatterOutcome) (best *scatterOutcome, firstErr *scatterOutcome) {
+// bestOutcome picks the scattered answer to relay: the 200 with the
+// highest MAC overlap (the lowest group on equal overlap), else the
+// lowest group's failure. A 422 means "no building of mine matches" and
+// is skipped, so nil means no group attributes the scan.
+func bestOutcome(outcomes []scatterOutcome) *scatterOutcome {
+	var best, firstErr *scatterOutcome
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.parsed != nil {
@@ -673,19 +755,25 @@ func bestOutcome(outcomes []scatterOutcome) (best *scatterOutcome, firstErr *sca
 			firstErr = o
 		}
 	}
-	return best, firstErr
+	if best != nil {
+		return best
+	}
+	return firstErr
 }
 
-// handleClassify serves POST /v2/classify and /v2/absorb. Reads scatter
-// to one node per group and return the best-overlap answer. Writes first
-// attribute the scan the same way, then forward the original request to
-// the owning group's primary so exactly one journal records it.
-func (rt *Router) handleClassify(forceAbsorb bool) http.HandlerFunc {
+// handleClassify serves POST /v2/classify and /v2/absorb (path). The
+// router decodes the scan only to validate it and read its MACs; the
+// node gets the body as received, on the same route.
+func (rt *Router) handleClassify(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		var req server.ClassifyRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err == nil {
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			err = dec.Decode(&req)
+		}
+		if err != nil {
 			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decode scan: %w", err))
 			return
 		}
@@ -693,29 +781,40 @@ func (rt *Router) handleClassify(forceAbsorb bool) http.HandlerFunc {
 			writeJSONError(w, http.StatusBadRequest, errors.New("scan has no readings"))
 			return
 		}
-		req.Absorb = req.Absorb || forceAbsorb
-		rt.routeClassify(r.Context(), w, &req)
+		req.Absorb = req.Absorb || path == "/v2/absorb"
+		rt.routeClassify(r.Context(), w, &req, path, body)
 	}
 }
 
-// routeClassify routes one parsed scan: scatter for reads, locate-then-
-// forward for absorbs.
-func (rt *Router) routeClassify(ctx context.Context, w http.ResponseWriter, req *server.ClassifyRequest) {
-	if !req.Absorb {
-		body, _ := json.Marshal(req)
-		outcomes := rt.scatterClassify(ctx, body)
-		best, firstErr := bestOutcome(outcomes)
-		rt.writeOutcome(w, best, firstErr)
-		return
+// routeClassify routes one scan, whose request body is body, to path.
+// The index names the group holding the scan's building: a read goes to
+// one of its members, an absorb to its primary, and the node's reply is
+// relayed as is. Only a scan whose MACs no group has reported is
+// scattered — a read to every group, an absorb to locate its owner
+// first.
+func (rt *Router) routeClassify(ctx context.Context, w http.ResponseWriter, req *server.ClassifyRequest, path string, body []byte) {
+	gi, ok := rt.index.Load().Route(req.Readings)
+	if !ok {
+		if !req.Absorb {
+			routedScatter.Inc()
+			writeOutcome(w, bestOutcome(rt.scatterClassify(ctx, body)))
+			return
+		}
+		var o *scatterOutcome
+		if gi, o = rt.locateOwner(ctx, req); gi < 0 {
+			writeOutcome(w, o)
+			return
+		}
 	}
-	gi, outcome := rt.locateOwner(ctx, req)
-	if gi < 0 {
-		rt.writeOutcome(w, nil, outcome)
-		return
-	}
-	body, _ := json.Marshal(req)
 	spanDone := obs.StartSpan(ctx, "forward")
-	status, data, err := rt.forwardWrite(ctx, gi, "/v2/classify", body)
+	if !req.Absorb {
+		routedIndex.Inc()
+		o := rt.readGroup(ctx, gi, body)
+		spanDone()
+		writeOutcome(w, &o)
+		return
+	}
+	status, data, err := rt.forwardWrite(ctx, gi, path, body)
 	spanDone()
 	if err != nil {
 		writeJSONError(w, http.StatusBadGateway, fmt.Errorf("fleet: forward absorb: %w", err))
@@ -788,9 +887,9 @@ func retryableWriteStatus(status int) bool {
 	return false
 }
 
-// locateOwner attributes a scan via read-only scatter and returns the
-// owning group, or -1 with the outcome to relay. A single-group fleet
-// skips the extra round trip.
+// locateOwner attributes a scan the index cannot place via read-only
+// scatter and returns the owning group, or -1 with the outcome to relay.
+// A single-group fleet skips the extra round trip.
 func (rt *Router) locateOwner(ctx context.Context, req *server.ClassifyRequest) (int, *scatterOutcome) {
 	if len(rt.groups) == 1 {
 		return 0, nil
@@ -798,30 +897,24 @@ func (rt *Router) locateOwner(ctx context.Context, req *server.ClassifyRequest) 
 	probe := *req
 	probe.Absorb = false
 	body, _ := json.Marshal(&probe)
-	outcomes := rt.scatterClassify(ctx, body)
-	best, firstErr := bestOutcome(outcomes)
-	if best == nil {
-		if firstErr != nil {
-			return -1, firstErr
-		}
-		return -1, &scatterOutcome{status: http.StatusUnprocessableEntity,
-			body: jsonError(errors.New("fleet: no group attributes this scan"))}
+	o := bestOutcome(rt.scatterClassify(ctx, body))
+	if o == nil || o.parsed == nil {
+		return -1, o
 	}
-	return best.group, nil
+	return o.group, nil
 }
 
-// writeOutcome relays the winning (or failing) scatter outcome.
-func (rt *Router) writeOutcome(w http.ResponseWriter, best, firstErr *scatterOutcome) {
+// writeOutcome relays a group's answer: 502 when the group never gave
+// one, and 422 for nil, when no group attributes the scan.
+func writeOutcome(w http.ResponseWriter, o *scatterOutcome) {
 	switch {
-	case best != nil:
-		relay(w, best.status, best.body)
-	case firstErr != nil && firstErr.err != nil:
-		writeJSONError(w, http.StatusBadGateway, firstErr.err)
-	case firstErr != nil:
-		relay(w, firstErr.status, firstErr.body)
-	default:
+	case o == nil:
 		writeJSONError(w, http.StatusUnprocessableEntity,
 			errors.New("fleet: no group attributes this scan"))
+	case o.err != nil:
+		writeJSONError(w, http.StatusBadGateway, o.err)
+	default:
+		relay(w, o.status, o.body)
 	}
 }
 
@@ -867,15 +960,15 @@ func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	type lineResult struct {
 		status int
 		body   []byte
-		err    error
 	}
 	results := make([]lineResult, len(reqs))
 	_ = par.ForEachCtxBounded(ctx, len(reqs), routerBatchWorkers, func(i int) {
 		req := reqs[i]
 		req.Absorb = req.Absorb || absorb
 		req.TopK = topK
+		body, _ := json.Marshal(&req)
 		rec := &routeRecorder{}
-		rt.routeClassify(ctx, rec, &req)
+		rt.routeClassify(ctx, rec, &req, "/v2/classify", body)
 		results[i] = lineResult{status: rec.status, body: rec.body.Bytes()}
 	})
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -957,7 +1050,9 @@ func decodeBatch(r io.Reader) ([]server.ClassifyRequest, error) {
 }
 
 // handleRemoveMAC broadcasts a MAC retirement to every group's primary
-// and sums the touched-building counts.
+// and sums the touched-building counts. The MAC arrives unescaped, so it
+// is escaped again for the hop: "aa%3Fbb" must not reach a node as
+// "aa?bb", which would retire "aa".
 func (rt *Router) handleRemoveMAC(w http.ResponseWriter, r *http.Request) {
 	mac := r.PathValue("mac")
 	total := 0
@@ -969,7 +1064,7 @@ func (rt *Router) handleRemoveMAC(w http.ResponseWriter, r *http.Request) {
 			lastErr = fmt.Errorf("fleet: group %d has no primary", gi)
 			continue
 		}
-		status, data, err := rt.forward(r.Context(), http.MethodDelete, primary, "/v2/macs/"+mac, nil)
+		status, data, err := rt.forward(r.Context(), http.MethodDelete, primary, "/v2/macs/"+url.PathEscape(mac), nil)
 		if err != nil {
 			lastErr = err
 			continue
@@ -1129,37 +1224,6 @@ func (rt *Router) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"member": member, "drained": !undo})
 }
 
-// handleFleetRebalance reports, without acting, where the ring would
-// place each building versus where it lives today. Moving a building
-// means retraining it on the target group's primary (models are not
-// shipped), so rebalancing stays a deliberate operator action.
-func (rt *Router) handleFleetRebalance(w http.ResponseWriter, r *http.Request) {
-	var moves []RebalanceMove
-	counts := make(map[string]int)
-	for gi := range rt.groups {
-		current := groupKey(gi)
-		seen := make(map[string]struct{})
-		for _, ms := range rt.groupStates(gi) {
-			for _, b := range ms.Buildings {
-				if _, dup := seen[b]; dup {
-					continue
-				}
-				seen[b] = struct{}{}
-				counts[current]++
-				if want := rt.ring.Owner(b); want != current {
-					moves = append(moves, RebalanceMove{Building: b, From: current, To: want})
-				}
-			}
-		}
-	}
-	sort.Slice(moves, func(i, j int) bool { return moves[i].Building < moves[j].Building })
-	writeJSON(w, http.StatusOK, map[string]any{
-		"moves":     moves,
-		"buildings": counts,
-		"note":      "plan only: apply by retraining the listed buildings on their target group",
-	})
-}
-
 // relay copies a node's raw response through.
 func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -1179,13 +1243,7 @@ func errorMessage(body []byte, status int) string {
 	return http.StatusText(status)
 }
 
-func jsonError(err error) []byte {
-	data, _ := json.Marshal(map[string]string{"error": err.Error()})
-	return data
-}
-
 func writeJSONError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(jsonError(err))
+	data, _ := json.Marshal(map[string]string{"error": err.Error()})
+	relay(w, status, data)
 }

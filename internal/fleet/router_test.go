@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,31 +19,48 @@ import (
 	"repro/internal/simulate"
 )
 
-// twoShardFleet boots two single-node shard groups over distinct
-// buildings from one simulated corpus (disjoint MAC spaces) plus a
+// shardFleet is a router over two single-node shard groups whose
+// buildings come from one simulated corpus (disjoint MAC spaces).
+type shardFleet struct {
+	router *Router
+	srv    *httptest.Server   // the router's
+	names  []string           // per building; building b lives in group b/perGroup
+	pools  [][]dataset.Record // held-out scans, per building
+	nodes  []*Node            // per group
+	urls   []string           // per group
+	hits   []*atomic.Int64    // per group: requests that reached the node outside /v2/repl/
+}
+
+// newShardFleet boots two shard groups of perGroup buildings each plus a
 // router fronting both.
-func twoShardFleet(t *testing.T, ctx context.Context) (router *Router, rSrv *httptest.Server, pools [][]dataset.Record, nodes []*Node) {
+func newShardFleet(t *testing.T, ctx context.Context, perGroup int) *shardFleet {
 	t.Helper()
-	corpus, err := simulate.Generate(simulate.MicrosoftLike(2, 30, 7))
+	corpus, err := simulate.Generate(simulate.MicrosoftLike(2*perGroup, 30, 7))
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
-	var urls []string
-	for bi := range corpus.Buildings {
-		b := &corpus.Buildings[bi]
-		rng := rand.New(rand.NewSource(int64(bi + 1)))
-		train, pool, err := dataset.Split(b, 0.7, rng)
-		if err != nil {
-			t.Fatalf("split: %v", err)
-		}
-		dataset.SelectLabels(train, 4, rng)
+	f := &shardFleet{}
+	var groups [][]string
+	for g := 0; g < 2; g++ {
 		dir := t.TempDir()
 		m, err := lifecycle.Open(fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
 		if err != nil {
 			t.Fatalf("lifecycle.Open: %v", err)
 		}
-		if err := m.Portfolio().AddBuilding(b.Name, train); err != nil {
-			t.Fatalf("AddBuilding: %v", err)
+		t.Cleanup(func() { m.Close() })
+		for bi := g * perGroup; bi < (g+1)*perGroup; bi++ {
+			b := &corpus.Buildings[bi]
+			rng := rand.New(rand.NewSource(int64(bi + 1)))
+			train, pool, err := dataset.Split(b, 0.7, rng)
+			if err != nil {
+				t.Fatalf("split: %v", err)
+			}
+			dataset.SelectLabels(train, 4, rng)
+			if err := m.Portfolio().AddBuilding(b.Name, train); err != nil {
+				t.Fatalf("AddBuilding: %v", err)
+			}
+			f.names = append(f.names, b.Name)
+			f.pools = append(f.pools, pool)
 		}
 		if err := m.Snapshot(); err != nil {
 			t.Fatalf("Snapshot: %v", err)
@@ -50,63 +69,116 @@ func twoShardFleet(t *testing.T, ctx context.Context) (router *Router, rSrv *htt
 		if err != nil {
 			t.Fatalf("NewPrimaryNode: %v", err)
 		}
-		srv := httptest.NewServer(node)
+		hits := new(atomic.Int64)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !strings.HasPrefix(r.URL.Path, "/v2/repl/") {
+				hits.Add(1)
+			}
+			node.ServeHTTP(w, r)
+		}))
 		t.Cleanup(srv.Close)
-		t.Cleanup(func() { m.Close() })
-		urls = append(urls, srv.URL)
-		pools = append(pools, pool)
-		nodes = append(nodes, node)
+		f.nodes = append(f.nodes, node)
+		f.urls = append(f.urls, srv.URL)
+		f.hits = append(f.hits, hits)
+		groups = append(groups, []string{srv.URL})
 	}
-	router, err = NewRouter(RouterOptions{
-		Groups:         [][]string{{urls[0]}, {urls[1]}},
+	f.router, err = NewRouter(RouterOptions{
+		Groups:         groups,
 		HealthInterval: 50 * time.Millisecond,
 		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	router.Start(ctx)
-	t.Cleanup(router.Stop)
-	rSrv = httptest.NewServer(router)
-	t.Cleanup(rSrv.Close)
-	return router, rSrv, pools, nodes
+	f.router.Start(ctx)
+	t.Cleanup(f.router.Stop)
+	f.srv = httptest.NewServer(f.router)
+	t.Cleanup(f.srv.Close)
+	return f
+}
+
+// macs returns the first n MACs of building b's graph.
+func (f *shardFleet) macs(t *testing.T, b, n int) []string {
+	t.Helper()
+	perGroup := len(f.names) / len(f.nodes)
+	sys, err := f.nodes[b/perGroup].Portfolio().System(f.names[b])
+	if err != nil {
+		t.Fatalf("System: %v", err)
+	}
+	macs := sys.MACs()
+	if len(macs) < n {
+		t.Fatalf("building %s has %d MACs, want %d", f.names[b], len(macs), n)
+	}
+	return macs[:n]
+}
+
+// hitCounts snapshots the per-group request counts.
+func (f *shardFleet) hitCounts() []int64 {
+	out := make([]int64, len(f.hits))
+	for i, h := range f.hits {
+		out[i] = h.Load()
+	}
+	return out
+}
+
+// wantHops fails unless exactly the groups in want (by index) received
+// one data-plane request each since before.
+func (f *shardFleet) wantHops(t *testing.T, what string, before []int64, want ...int) {
+	t.Helper()
+	for gi, now := range f.hitCounts() {
+		exp := int64(0)
+		if slices.Contains(want, gi) {
+			exp = 1
+		}
+		if got := now - before[gi]; got != exp {
+			t.Errorf("%s: group %d received %d requests, want %d", what, gi, got, exp)
+		}
+	}
+}
+
+// scanOf builds a scan hearing the given MACs.
+func scanOf(id string, macs ...[]string) dataset.Record {
+	rec := dataset.Record{ID: id}
+	for _, set := range macs {
+		for _, mac := range set {
+			rec.Readings = append(rec.Readings, dataset.Reading{MAC: mac, RSS: -50})
+		}
+	}
+	return rec
 }
 
 func TestRouterScatterAndWriteForwarding(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, rSrv, pools, nodes := twoShardFleet(t, ctx)
+	f := newShardFleet(t, ctx, 1)
 
 	// Reads for either building resolve through the router to the right
 	// shard.
-	for gi := range pools {
-		status, body := postClassify(t, rSrv.URL, "/v2/classify", &pools[gi][0], false)
+	for gi := range f.pools {
+		status, body := postClassify(t, f.srv.URL, "/v2/classify", &f.pools[gi][0], false)
 		if status != http.StatusOK {
 			t.Fatalf("routed classify group %d: status %d body %v", gi, status, body)
 		}
-		wantBuilding := nodes[gi].Portfolio().Buildings()[0]
-		if got, _ := body["building"].(string); got != wantBuilding {
-			t.Fatalf("scan for group %d attributed to %q, want %q", gi, got, wantBuilding)
+		if got, _ := body["building"].(string); got != f.names[gi] {
+			t.Fatalf("scan for group %d attributed to %q, want %q", gi, got, f.names[gi])
 		}
 	}
 
 	// An absorb via the router lands on exactly the owning shard's
 	// journal.
-	rec, mac := uniqueScan(pools[1][1], 7)
-	status, body := postClassify(t, rSrv.URL, "/v2/absorb", &rec, true)
+	rec, mac := uniqueScan(f.pools[1][1], 7)
+	status, body := postClassify(t, f.srv.URL, "/v2/absorb", &rec, true)
 	if status != http.StatusOK {
 		t.Fatalf("routed absorb: status %d body %v", status, body)
 	}
-	owner := nodes[1].Portfolio().Buildings()[0]
-	sys1, err := nodes[1].Portfolio().System(owner)
+	sys1, err := f.nodes[1].Portfolio().System(f.names[1])
 	if err != nil {
 		t.Fatalf("System: %v", err)
 	}
 	if !sys1.HasMAC(mac) {
 		t.Fatal("absorb did not reach the owning shard")
 	}
-	other := nodes[0].Portfolio().Buildings()[0]
-	sys0, err := nodes[0].Portfolio().System(other)
+	sys0, err := f.nodes[0].Portfolio().System(f.names[0])
 	if err != nil {
 		t.Fatalf("System: %v", err)
 	}
@@ -116,23 +188,255 @@ func TestRouterScatterAndWriteForwarding(t *testing.T) {
 
 	// A scan no shard can attribute is a 422.
 	junk := dataset.Record{ID: "junk", Readings: []dataset.Reading{{MAC: "de:ad:be:ef:00:01", RSS: -40}}}
-	if status, _ := postClassify(t, rSrv.URL, "/v2/classify", &junk, false); status != http.StatusUnprocessableEntity {
+	if status, _ := postClassify(t, f.srv.URL, "/v2/classify", &junk, false); status != http.StatusUnprocessableEntity {
 		t.Fatalf("unattributable scan: status %d, want 422", status)
+	}
+}
+
+// TestRouterReadAndAbsorbTakeOneHop counts the requests each node sees:
+// a read that also hears the other group's MACs and an absorb each reach
+// only the group holding their building.
+func TestRouterReadAndAbsorbTakeOneHop(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+
+	read := f.pools[0][0]
+	read.Readings = append(slices.Clone(read.Readings), scanOf("", f.macs(t, 1, 2)).Readings...)
+	before := f.hitCounts()
+	index, scatter := routedIndex.Load(), routedScatter.Load()
+	status, body := postClassify(t, f.srv.URL, "/v2/classify", &read, false)
+	if got, _ := body["building"].(string); status != http.StatusOK || got != f.names[0] {
+		t.Fatalf("read: status %d body %v, want 200 from %s", status, body, f.names[0])
+	}
+	f.wantHops(t, "read", before, 0)
+	if routedIndex.Load() != index+1 || routedScatter.Load() != scatter {
+		t.Errorf("routed reads: index +%d, scatter +%d; want +1, +0",
+			routedIndex.Load()-index, routedScatter.Load()-scatter)
+	}
+
+	absorb, _ := uniqueScan(f.pools[1][2], 11)
+	before = f.hitCounts()
+	if status, body := postClassify(t, f.srv.URL, "/v2/absorb", &absorb, true); status != http.StatusOK {
+		t.Fatalf("absorb: status %d body %v", status, body)
+	}
+	f.wantHops(t, "absorb", before, 1)
+}
+
+// TestRouterIndexMatchesScatter is the routing differential: for every
+// kind of scan the index must pick the status and building that asking
+// every group and keeping the best answer picks.
+func TestRouterIndexMatchesScatter(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 2) // buildings 0, 1 in group 0; 2, 3 in group 1
+	name := func(b int) string { return f.names[b] }
+	unknown := []string{"de:ad:00:00:00:01", "de:ad:00:00:00:02", "de:ad:00:00:00:03"}
+	m := func(b, n int) []string { return f.macs(t, b, n) }
+	own := f.pools[0][0]
+	cases := []struct {
+		name       string
+		scan       dataset.Record
+		wantStatus int
+		want       string // building; "" for an error
+	}{
+		{"own scan plus neighbour MACs", scanOf("n", macsOf(own), m(2, 2)), http.StatusOK, name(0)},
+		{"higher overlap in group 1", scanOf("h", m(0, 1), m(3, 3)), http.StatusOK, name(3)},
+		{"equal overlap across groups", scanOf("e", m(2, 2), m(0, 2)), http.StatusOK, name(0)},
+		{"tie within group 0", scanOf("t0", m(0, 2), m(1, 2)), http.StatusConflict, ""},
+		{"tie within group 0, strict winner in group 1", scanOf("t0w", m(0, 2), m(1, 2), m(2, 1)), http.StatusOK, name(2)},
+		{"tie within group 1, strict winner in group 0", scanOf("t1w", m(2, 2), m(3, 2), m(1, 1)), http.StatusOK, name(1)},
+		{"ties in both groups", scanOf("tt", m(0, 1), m(1, 1), m(2, 1), m(3, 1)), http.StatusConflict, ""},
+		{"known MAC among unknown ones", scanOf("k", unknown, m(3, 1)), http.StatusOK, name(3)},
+		{"unknown MACs only", scanOf("u", unknown), http.StatusUnprocessableEntity, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(map[string]any{"id": tc.scan.ID, "readings": tc.scan.Readings})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scattered := httptest.NewRecorder()
+			writeOutcome(scattered, bestOutcome(f.router.scatterClassify(ctx, body)))
+			var viaScatter map[string]any
+			_ = json.Unmarshal(scattered.Body.Bytes(), &viaScatter)
+
+			status, viaIndex := postClassify(t, f.srv.URL, "/v2/classify", &tc.scan, false)
+			if status != scattered.Code || viaIndex["building"] != viaScatter["building"] {
+				t.Fatalf("index: %d %v; scatter: %d %v", status, viaIndex["building"], scattered.Code, viaScatter["building"])
+			}
+			got, _ := viaIndex["building"].(string)
+			if status != tc.wantStatus || got != tc.want {
+				t.Fatalf("status %d building %q, want %d %q (body %v)", status, got, tc.wantStatus, tc.want, viaIndex)
+			}
+		})
+	}
+
+	// The group holding the winning building has no serving member: the
+	// read fails rather than falling back to another group's weaker match.
+	fResp, err := http.Post(f.srv.URL+"/v2/admin/fleet/drain?member="+f.urls[1], "", nil)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	fResp.Body.Close()
+	scan := scanOf("drained", m(0, 1), m(3, 3))
+	if status, body := postClassify(t, f.srv.URL, "/v2/classify", &scan, false); status != http.StatusBadGateway {
+		t.Fatalf("owning group drained: status %d body %v, want 502", status, body)
+	}
+}
+
+// TestRouterIndexesGroupWithoutPrimary boots a router while one group's
+// primary is down and its follower serves. The group's buildings must
+// still be in the index, built from the follower's report: a scan of
+// the group's building that also hears a neighbour group's MACs reads
+// its own building, and its absorb fails for want of a primary instead
+// of landing in the neighbour's building.
+func TestRouterIndexesGroupWithoutPrimary(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, p0Srv, _, pool := startPrimary(t, ctx, "alpha", 21, PrimaryOptions{})
+	f0, f0Srv := startFollower(t, ctx, p0Srv.URL)
+	waitFor(t, 20*time.Second, "follower ready", func() bool { return f0.ReplInfo().Ready })
+	p1, p1Srv, _, _ := startPrimary(t, ctx, "beta", 22, PrimaryOptions{})
+	p0Srv.Close()
+
+	router, err := NewRouter(RouterOptions{
+		Groups:         [][]string{{p0Srv.URL, f0Srv.URL}, {p1Srv.URL}},
+		HealthInterval: 50 * time.Millisecond,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	router.Start(ctx)
+	t.Cleanup(router.Stop)
+	rSrv := newTestServer(t, router)
+
+	beta, err := p1.Portfolio().System("beta")
+	if err != nil {
+		t.Fatalf("System: %v", err)
+	}
+	scan := pool[0]
+	scan.Readings = append(slices.Clone(scan.Readings), scanOf("", beta.MACs()[:2]).Readings...)
+	status, body := postClassify(t, rSrv.URL, "/v2/classify", &scan, false)
+	if got, _ := body["building"].(string); status != http.StatusOK || got != "alpha" {
+		t.Fatalf("read: status %d body %v, want 200 from alpha", status, body)
+	}
+
+	absorb, mac := uniqueScan(scan, 5)
+	if status, body := postClassify(t, rSrv.URL, "/v2/absorb", &absorb, true); status != http.StatusBadGateway {
+		t.Fatalf("absorb with no primary: status %d body %v, want 502", status, body)
+	}
+	if beta, err = p1.Portfolio().System("beta"); err != nil {
+		t.Fatalf("System: %v", err)
+	}
+	if beta.HasMAC(mac) {
+		t.Fatal("absorb of an alpha scan landed in beta")
+	}
+}
+
+func macsOf(rec dataset.Record) []string {
+	out := make([]string, len(rec.Readings))
+	for i, rd := range rec.Readings {
+		out[i] = rd.MAC
+	}
+	return out
+}
+
+// TestRouterMACPollsCarryOnlyChanges checks the index feed: a status
+// poll at the current version carries no MAC sets, and once a routed
+// absorb adds a MAC, the next poll lets a scan of only that MAC route in
+// one hop.
+func TestRouterMACPollsCarryOnlyChanges(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+	c := NewClient(f.urls[1], 0)
+
+	full, err := c.StatusMACs(ctx, 0)
+	if err != nil {
+		t.Fatalf("StatusMACs: %v", err)
+	}
+	if full.MACsVersion == 0 || len(full.MACs[f.names[1]]) == 0 {
+		t.Fatalf("first poll: version %d, %d buildings' MACs", full.MACsVersion, len(full.MACs))
+	}
+	same, err := c.StatusMACs(ctx, full.MACsVersion)
+	if err != nil {
+		t.Fatalf("StatusMACs: %v", err)
+	}
+	if same.MACsVersion != full.MACsVersion || same.MACs != nil {
+		t.Fatalf("poll at the current version: version %d (was %d), %d buildings' MACs, want none",
+			same.MACsVersion, full.MACsVersion, len(same.MACs))
+	}
+	if plain, err := c.Status(ctx); err != nil || plain.MACs != nil || plain.MACsVersion != 0 {
+		t.Fatalf("poll without ?macs=: %+v, %v; want no MAC fields", plain, err)
+	}
+
+	rec, mac := uniqueScan(f.pools[1][1], 3)
+	if status, body := postClassify(t, f.srv.URL, "/v2/absorb", &rec, true); status != http.StatusOK {
+		t.Fatalf("routed absorb: status %d body %v", status, body)
+	}
+	grown, err := c.StatusMACs(ctx, full.MACsVersion)
+	if err != nil {
+		t.Fatalf("StatusMACs: %v", err)
+	}
+	if grown.MACsVersion == full.MACsVersion || !slices.Contains(grown.MACs[f.names[1]], mac) {
+		t.Fatalf("after absorbing %s: version %d (was %d), MACs hold it: %v", mac, grown.MACsVersion,
+			full.MACsVersion, slices.Contains(grown.MACs[f.names[1]], mac))
+	}
+
+	f.router.pollAll(ctx)
+	only := scanOf("new-mac-only", []string{mac})
+	before := f.hitCounts()
+	status, body := postClassify(t, f.srv.URL, "/v2/classify", &only, false)
+	if got, _ := body["building"].(string); status != http.StatusOK || got != f.names[1] {
+		t.Fatalf("scan of the new MAC: status %d body %v, want 200 from %s", status, body, f.names[1])
+	}
+	f.wantHops(t, "scan of the new MAC", before, 1)
+}
+
+// TestRouterRemoveMACEscapesPath is the regression test for forwarding
+// an unescaped MAC: DELETE /v2/macs/X%3Fjunk names the MAC "X?junk",
+// which no node knows, and must not reach a node as /v2/macs/X?junk and
+// retire X.
+func TestRouterRemoveMACEscapesPath(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+	mac := f.macs(t, 0, 1)[0]
+	req, err := http.NewRequest(http.MethodDelete, f.srv.URL+"/v2/macs/"+mac+"%3Fjunk", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("DELETE /v2/macs/%s%%3Fjunk: status %d, want 404", mac, resp.StatusCode)
+	}
+	sys, err := f.nodes[0].Portfolio().System(f.names[0])
+	if err != nil {
+		t.Fatalf("System: %v", err)
+	}
+	if !sys.HasMAC(mac) {
+		t.Errorf("MAC %s was retired by a request for %s?junk", mac, mac)
 	}
 }
 
 func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	router, rSrv, pools, _ := twoShardFleet(t, ctx)
+	f := newShardFleet(t, ctx, 1)
 
 	// Batch: scans from both shards, NDJSON back in order.
 	var lines []string
-	for gi := range pools {
-		b, _ := json.Marshal(map[string]any{"id": fmt.Sprintf("g%d", gi), "readings": pools[gi][2].Readings})
+	for gi := range f.pools {
+		b, _ := json.Marshal(map[string]any{"id": fmt.Sprintf("g%d", gi), "readings": f.pools[gi][2].Readings})
 		lines = append(lines, string(b))
 	}
-	resp, err := http.Post(rSrv.URL+"/v2/classify/batch", "application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")))
+	resp, err := http.Post(f.srv.URL+"/v2/classify/batch", "application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")))
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -152,7 +456,7 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	}
 
 	// Stats aggregate across shards.
-	sResp, err := http.Get(rSrv.URL + "/v2/stats")
+	sResp, err := http.Get(f.srv.URL + "/v2/stats")
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -166,7 +470,7 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	}
 
 	// Fleet admin: healthy topology with one primary per group.
-	fResp, err := http.Get(rSrv.URL + "/v2/admin/fleet")
+	fResp, err := http.Get(f.srv.URL + "/v2/admin/fleet")
 	if err != nil {
 		t.Fatalf("fleet: %v", err)
 	}
@@ -178,53 +482,26 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	if !fs.Healthy || len(fs.Groups) != 2 || fs.Groups[0].Primary == "" || fs.Groups[1].Primary == "" {
 		t.Fatalf("fleet status: %+v", fs)
 	}
-	if got := httpStatus(t, rSrv.URL+"/v2/healthz"); got != http.StatusOK {
+	if got := httpStatus(t, f.srv.URL+"/v2/healthz"); got != http.StatusOK {
 		t.Fatalf("router healthz: %d", got)
-	}
-
-	// Rebalance is a plan, not an action: it answers 200 and moves
-	// nothing.
-	before := router.fleetStatus()
-	rbResp, err := http.Get(rSrv.URL + "/v2/admin/fleet/rebalance")
-	if err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-	defer rbResp.Body.Close()
-	var plan struct {
-		Moves     []RebalanceMove `json:"moves"`
-		Buildings map[string]int  `json:"buildings"`
-	}
-	if err := json.NewDecoder(rbResp.Body).Decode(&plan); err != nil {
-		t.Fatalf("decode rebalance: %v", err)
-	}
-	total := 0
-	for _, n := range plan.Buildings {
-		total += n
-	}
-	if total != 2 {
-		t.Fatalf("rebalance building census: %+v", plan.Buildings)
-	}
-	after := router.fleetStatus()
-	if len(before.Groups) != len(after.Groups) {
-		t.Fatal("rebalance mutated topology")
 	}
 
 	// Drain pulls a member out of rotation and undo restores it.
 	member := fs.Groups[0].Primary
-	dResp, err := http.Post(rSrv.URL+"/v2/admin/fleet/drain?member="+member, "", nil)
+	dResp, err := http.Post(f.srv.URL+"/v2/admin/fleet/drain?member="+member, "", nil)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	dResp.Body.Close()
-	if status, _ := postClassify(t, rSrv.URL, "/v2/classify", &pools[0][3], false); status != http.StatusBadGateway && status != http.StatusUnprocessableEntity {
+	if status, _ := postClassify(t, f.srv.URL, "/v2/classify", &f.pools[0][3], false); status != http.StatusBadGateway && status != http.StatusUnprocessableEntity {
 		t.Fatalf("classify with sole member drained: status %d, want no serving member", status)
 	}
-	uResp, err := http.Post(rSrv.URL+"/v2/admin/fleet/drain?member="+member+"&undo=true", "", nil)
+	uResp, err := http.Post(f.srv.URL+"/v2/admin/fleet/drain?member="+member+"&undo=true", "", nil)
 	if err != nil {
 		t.Fatalf("undo drain: %v", err)
 	}
 	uResp.Body.Close()
-	if status, _ := postClassify(t, rSrv.URL, "/v2/classify", &pools[0][3], false); status != http.StatusOK {
+	if status, _ := postClassify(t, f.srv.URL, "/v2/classify", &f.pools[0][3], false); status != http.StatusOK {
 		t.Fatalf("classify after undo drain: status %d", status)
 	}
 }

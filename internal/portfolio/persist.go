@@ -62,6 +62,7 @@ func (p *Portfolio) Save(dir string) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	sets := p.macs.Sets()
 	man := manifest{Version: manifestVersion}
 	for _, name := range names {
 		// The file name is derived from the building name, so if a crash
@@ -75,12 +76,7 @@ func (p *Portfolio) Save(dir string) error {
 		}); err != nil {
 			return fmt.Errorf("portfolio: save building %q: %w", name, err)
 		}
-		macs := make([]string, 0, len(p.macIndex[name]))
-		for mac := range p.macIndex[name] {
-			macs = append(macs, mac)
-		}
-		sort.Strings(macs)
-		man.Buildings = append(man.Buildings, manifestBuilding{Name: name, File: file, MACs: macs})
+		man.Buildings = append(man.Buildings, manifestBuilding{Name: name, File: file, MACs: sets[name]})
 	}
 	if err := writeFileAtomic(filepath.Join(dir, ManifestName), func(f *os.File) error {
 		enc := json.NewEncoder(f)
@@ -186,21 +182,24 @@ func LoadPortfolio(dir string, cfg core.Config) (*Portfolio, error) {
 	if man.Version != manifestVersion {
 		return nil, fmt.Errorf("portfolio: manifest version %d, want %d", man.Version, manifestVersion)
 	}
+	// Nobody else can see p until it is returned, so holding its lock
+	// throughout costs nothing.
 	p := New(cfg)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, b := range man.Buildings {
 		if err := validateName(b.Name); err != nil {
 			return nil, fmt.Errorf("portfolio: manifest: %w", err)
 		}
-		// grafics:lockok pre-publication: p is local until LoadPortfolio returns
 		if _, dup := p.systems[b.Name]; dup {
 			return nil, fmt.Errorf("portfolio: manifest: %w: %q", ErrDuplicateName, b.Name)
 		}
-		p.systems[b.Name] = nil // grafics:lockok placeholder: claimed, loaded below; p unpublished
+		p.systems[b.Name] = nil // placeholder: claimed, loaded below
 	}
 	// Per-building snapshot loads are independent (each rebuilds its own
 	// graph and replays its own absorbs), so a warm restart of a large
 	// fleet restores across cores instead of one building at a time. The
-	// pool is bounded at GOMAXPROCS; nobody else can observe p yet.
+	// pool is bounded at GOMAXPROCS.
 	systems := make([]*core.System, len(man.Buildings))
 	errs := make([]error, len(man.Buildings))
 	par.ForEach(len(man.Buildings), func(i int) {
@@ -218,12 +217,8 @@ func LoadPortfolio(dir string, cfg core.Config) (*Portfolio, error) {
 		}
 	}
 	for i, b := range man.Buildings {
-		macs := make(map[string]struct{}, len(b.MACs))
-		for _, mac := range b.MACs {
-			macs[mac] = struct{}{}
-		}
-		p.systems[b.Name] = systems[i] // grafics:lockok pre-publication: p is local until LoadPortfolio returns
-		p.macIndex[b.Name] = macs      // grafics:lockok pre-publication: p is local until LoadPortfolio returns
+		p.systems[b.Name] = systems[i]
+		p.macs.Set(b.Name, 0, b.MACs)
 	}
 	return p, nil
 }

@@ -1,15 +1,17 @@
 // Package portfolio manages GRAFICS systems for a fleet of buildings — the
 // deployment shape of the paper's Microsoft/Kaggle corpus (204 buildings).
 // A scan from an unknown location is first attributed to a building by MAC
-// overlap against per-building MAC registries (BSSIDs are globally unique,
-// so overlap is a near-perfect building fingerprint), then routed to that
-// building's floor-identification System.
+// overlap against the buildings' MAC sets, held in one inverted index
+// (BSSIDs are globally unique, so overlap is a near-perfect building
+// fingerprint), then routed to that building's floor-identification
+// System.
 package portfolio
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -73,8 +75,11 @@ type Portfolio struct {
 
 	// grafics:guardedby mu
 	systems map[string]*core.System
+	// macs is the attribution index over every published building, all
+	// in group 0.
+	//
 	// grafics:guardedby mu
-	macIndex map[string]map[string]struct{} // building -> MAC set
+	macs *MACIndex
 	// pending reserves names whose System is still fitting outside the
 	// lock, so concurrent registrations of the same name race cleanly and
 	// classifications never see a half-built building.
@@ -86,10 +91,10 @@ type Portfolio struct {
 // New returns an empty portfolio; cfg configures every building's System.
 func New(cfg core.Config) *Portfolio {
 	return &Portfolio{
-		cfg:      cfg,
-		systems:  make(map[string]*core.System),
-		macIndex: make(map[string]map[string]struct{}),
-		pending:  make(map[string]struct{}),
+		cfg:     cfg,
+		systems: make(map[string]*core.System),
+		macs:    NewMACIndex(),
+		pending: make(map[string]struct{}),
 	}
 }
 
@@ -119,7 +124,7 @@ func (p *Portfolio) AddBuildingCtx(ctx context.Context, name string, train []dat
 		p.unreserve(name)
 		return err
 	}
-	p.publish(name, sys, train)
+	p.publish(name, sys)
 	return nil
 }
 
@@ -159,20 +164,16 @@ func (p *Portfolio) fitBuilding(ctx context.Context, name string, train []datase
 	return sys, nil
 }
 
-// publish installs a fitted building and its attribution MAC set,
-// clearing the pending reservation.
-func (p *Portfolio) publish(name string, sys *core.System, train []dataset.Record) {
-	macs := make(map[string]struct{})
-	for i := range train {
-		for _, rd := range train[i].Readings {
-			macs[rd.MAC] = struct{}{}
-		}
-	}
+// publish installs a fitted building and its attribution MAC set — its
+// graph's MACs, every MAC of its training scans — clearing the pending
+// reservation.
+func (p *Portfolio) publish(name string, sys *core.System) {
+	macs := sys.MACs()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.pending, name)
 	p.systems[name] = sys
-	p.macIndex[name] = macs
+	p.macs.Set(name, 0, macs)
 }
 
 // BuildingCorpus names one building's training corpus for bulk
@@ -213,7 +214,7 @@ func (p *Portfolio) AddBuildings(ctx context.Context, buildings []BuildingCorpus
 			errs[i] = err
 			return
 		}
-		p.publish(b.Name, sys, b.Train)
+		p.publish(b.Name, sys)
 	}, func(i int, err error) {
 		p.unreserve(buildings[i].Name)
 		errs[i] = fmt.Errorf("portfolio: building %q: %w", buildings[i].Name, err)
@@ -247,24 +248,21 @@ func (p *Portfolio) System(name string) (*core.System, error) {
 // ReplaceSystem atomically swaps in a new System for a registered
 // building — the hot-swap behind background refits. Classifications in
 // flight on the old System finish against it; every classification that
-// attributes after the swap routes to the new one. The attribution MAC
-// index is rebuilt from the new system's graph so routing and model can
-// never disagree.
+// attributes after the swap routes to the new one. The building's MAC set
+// is reset to the new system's graph so routing and model can never
+// disagree; the index version moves only if the set changed.
 func (p *Portfolio) ReplaceSystem(name string, sys *core.System) error {
 	if !sys.Trained() {
 		return fmt.Errorf("portfolio: replacement for %q: %w", name, core.ErrNotTrained)
 	}
-	macs := make(map[string]struct{})
-	for _, mac := range sys.MACs() {
-		macs[mac] = struct{}{}
-	}
+	macs := sys.MACs()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.systems[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBuilding, name)
 	}
 	p.systems[name] = sys
-	p.macIndex[name] = macs
+	p.macs.Set(name, 0, macs)
 	return nil
 }
 
@@ -274,22 +272,17 @@ func (p *Portfolio) ReplaceSystem(name string, sys *core.System) error {
 // replication re-bootstrap path: a follower whose upstream truncated its
 // WAL loads the fresh snapshot into a throwaway portfolio and adopts it,
 // keeping the *Portfolio identity its HTTP handler and router hold
-// stable. The donor must be discarded after Adopt (its maps are shared,
-// not copied deeply).
+// stable. The adopted index takes the next version after p's. The donor
+// must be discarded after Adopt (its index is taken over, not copied).
 func (p *Portfolio) Adopt(other *Portfolio) {
 	other.mu.RLock()
-	systems := make(map[string]*core.System, len(other.systems))
-	for name, sys := range other.systems {
-		systems[name] = sys
-	}
-	macIndex := make(map[string]map[string]struct{}, len(other.macIndex))
-	for name, macs := range other.macIndex {
-		macIndex[name] = macs
-	}
+	systems := maps.Clone(other.systems)
+	macs := other.macs
 	other.mu.RUnlock()
 	p.mu.Lock()
+	macs.version = p.macs.version + 1
 	p.systems = systems
-	p.macIndex = macIndex
+	p.macs = macs
 	p.mu.Unlock()
 }
 
@@ -313,51 +306,29 @@ func (p *Portfolio) AbsorbBuilding(ctx context.Context, name string, rec *datase
 
 // Attribute determines which building a scan was taken in by MAC overlap.
 // It requires a strict winner with at least minOverlap (use 0 for any
-// positive overlap).
+// positive overlap); see MACIndex.Attribute.
+//
+//grafics:hotpath
 func (p *Portfolio) Attribute(rec *dataset.Record, minOverlap float64) (Match, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if len(p.systems) == 0 {
 		return Match{}, ErrNoBuildings
 	}
-	if len(rec.Readings) == 0 {
-		return Match{}, fmt.Errorf("%w: empty scan %q", ErrUnattributable, rec.ID)
+	return p.macs.Attribute(rec.ID, rec.Readings, minOverlap)
+}
+
+// MACSets returns the attribution index's version and, unless since is
+// that version, every building's MAC set. A fleet router polls it to keep
+// its own index in step without re-fetching unchanged sets.
+func (p *Portfolio) MACSets(since uint64) (uint64, map[string][]string) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	v := p.macs.Version()
+	if v == since {
+		return v, nil
 	}
-	var best, second Match
-	names := make([]string, 0, len(p.macIndex))
-	for name := range p.macIndex {
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic tie handling
-	for _, name := range names {
-		macs := p.macIndex[name]
-		hit := 0
-		seen := make(map[string]struct{}, len(rec.Readings))
-		for _, rd := range rec.Readings {
-			if _, dup := seen[rd.MAC]; dup {
-				continue
-			}
-			seen[rd.MAC] = struct{}{}
-			if _, ok := macs[rd.MAC]; ok {
-				hit++
-			}
-		}
-		overlap := float64(hit) / float64(len(seen))
-		if overlap > best.Overlap {
-			second = best
-			best = Match{Building: name, Overlap: overlap}
-		} else if overlap > second.Overlap {
-			second = Match{Building: name, Overlap: overlap}
-		}
-	}
-	best.RunnerUp = second.Overlap
-	if best.Overlap <= 0 || best.Overlap < minOverlap {
-		return Match{}, fmt.Errorf("%w: %q (best overlap %.2f)", ErrUnattributable, rec.ID, best.Overlap)
-	}
-	if second.Overlap == best.Overlap {
-		return Match{}, fmt.Errorf("%w: %q (%q vs %q at %.2f)", ErrAmbiguousMatch, rec.ID, best.Building, second.Building, best.Overlap)
-	}
-	return best, nil
+	return v, p.macs.Sets()
 }
 
 // Routed is a fleet classification: the attributed building plus the
@@ -420,14 +391,13 @@ func (p *Portfolio) ClassifyRouted(ctx context.Context, rec *dataset.Record, opt
 func (p *Portfolio) registerMACs(building string, rec *dataset.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	macs, ok := p.macIndex[building]
+	sys, ok := p.systems[building]
 	if !ok {
 		return
 	}
-	sys := p.systems[building]
 	for _, rd := range rec.Readings {
 		if sys.HasMAC(rd.MAC) {
-			macs[rd.MAC] = struct{}{}
+			p.macs.Add(building, rd.MAC)
 		}
 	}
 }
@@ -467,17 +437,13 @@ func (p *Portfolio) RemoveMAC(mac string) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	affected := 0
-	for name, macs := range p.macIndex {
-		if _, ok := macs[mac]; !ok {
-			continue
-		}
+	for _, name := range p.macs.Remove(mac) {
 		// A graph that no longer holds the MAC (index drift) just means
-		// there is nothing left to remove there; drop the index entry and
-		// keep going rather than aborting the fleet-wide removal.
+		// there is nothing left to remove there; the index entry is gone
+		// already, so keep going rather than abort the fleet-wide removal.
 		if err := p.systems[name].RemoveMAC(mac); err == nil {
 			affected++
 		}
-		delete(macs, mac)
 	}
 	if affected == 0 {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownMAC, mac)
