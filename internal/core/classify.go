@@ -503,7 +503,7 @@ func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o opti
 		}
 	}()
 	inc := s.incrementalFor(o, seq)
-	if err := embed.EmbedNewNode(s.graph, s.emb, id, inc); err != nil {
+	if err := embed.EmbedNewNode(s.graph, s.emb, id, inc, s.neg); err != nil {
 		return Result{}, fmt.Errorf("core: online embedding: %w", err)
 	}
 	// resultFromEgo copies the ego into the Result, so handing it the

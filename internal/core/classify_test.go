@@ -241,6 +241,44 @@ func TestClassifyAbsorbGrowsGraph(t *testing.T) {
 	}
 }
 
+// TestAbsorbEmbedsLikeClassify: an absorb embeds its scan against the
+// live sampler of the graph before the insert, so with a fixed seed it
+// returns exactly what a read-only classify of the same scan returned the
+// moment before.
+func TestAbsorbEmbedsLikeClassify(t *testing.T) {
+	s, test := trainedSystem(t)
+	ctx := context.Background()
+	checked := 0
+	for i := range test {
+		rec := test[i]
+		known := true
+		for _, rd := range rec.Readings {
+			known = known && s.HasMAC(rd.MAC)
+		}
+		if !known {
+			continue
+		}
+		want, err := s.Classify(ctx, &rec, WithSeed(7))
+		if err != nil {
+			t.Fatalf("Classify(%s): %v", rec.ID, err)
+		}
+		got, err := s.Classify(ctx, &rec, WithAbsorb(), WithSeed(7))
+		if err != nil {
+			t.Fatalf("absorbing Classify(%s): %v", rec.ID, err)
+		}
+		if got.Floor != want.Floor || got.Distance != want.Distance || got.Confidence != want.Confidence {
+			t.Fatalf("scan %s: absorb gave floor %d, distance %v, confidence %v; classify gave %d, %v, %v",
+				rec.ID, got.Floor, got.Distance, got.Confidence, want.Floor, want.Distance, want.Confidence)
+		}
+		if checked++; checked == 20 {
+			break
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("only %d test scans hear only known MACs, want 20", checked)
+	}
+}
+
 func TestClassifierInterface(t *testing.T) {
 	s, test := trainedSystem(t)
 	var c Classifier = s

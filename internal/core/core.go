@@ -130,9 +130,9 @@ type System struct {
 	// grafics:guardedby mu
 	fidx *floorIndex
 
-	// neg is the frozen negative-sampling distribution shared by all
-	// concurrent predictions; writers rebuild it after mutating the
-	// graph (see refreshSampler).
+	// neg is the frozen negative-sampling distribution and warm-start
+	// table shared by all concurrent predictions; writers rebuild it
+	// after mutating the graph (see refreshSampler).
 	//
 	// grafics:guardedby mu
 	neg *embed.NegativeSampler
@@ -281,10 +281,11 @@ func (s *System) FitCtx(ctx context.Context) error {
 	return nil
 }
 
-// refreshSampler rebuilds the shared negative-sampling distribution after
-// a graph mutation. The caller holds the write lock. A rebuild failure
-// leaves the previous sampler in place: predictions stay consistent with
-// the pre-mutation snapshot rather than failing outright — but the
+// refreshSampler rebuilds the shared negative-sampling distribution and
+// warm-start table after a graph mutation. The caller holds the write
+// lock. A rebuild failure leaves the previous sampler in place:
+// predictions stay consistent with the pre-mutation snapshot rather than
+// failing outright (MACs newer than its table start at random) — but the
 // failure is counted and kept (see Stats), because a sampler that can
 // never rebuild drifts ever further from the live graph and an operator
 // can only notice through the stats surface.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/metrics"
@@ -250,6 +253,94 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(t.TempDir() + "/missing.gob"); err == nil {
 		t.Error("expected error loading missing file")
+	}
+}
+
+// TestLoadLegacyIncrementalConfig: snapshots written while online
+// inference had an early stop store IncrementalConfig with a Tolerance
+// field and the 100-round budget. gob drops the retired field, so such a
+// snapshot still loads, keeps its stored budget, and classifies.
+func TestLoadLegacyIncrementalConfig(t *testing.T) {
+	type legacyIncremental struct {
+		Rounds          int
+		LearningRate    float64
+		NegativeSamples int
+		Tolerance       float64
+		Seed            int64
+	}
+	type legacyConfig struct {
+		Weight      WeightSpec
+		Embed       embed.Config
+		Incremental legacyIncremental
+	}
+	type legacySnapshot struct {
+		Config       legacyConfig
+		TrainRecords []dataset.Record
+		Absorbed     []dataset.Record
+		RetireLog    []RetireEvent
+		Nodes        int
+		Dim          int
+		Ego          [][]float64
+		Ctx          [][]float64
+		Model        cluster.Model
+		PredictSeq   int
+	}
+	train, test := campusSplit(t, 30, 4, 6)
+	s := New(fastConfig())
+	if err := s.AddTraining(train); err != nil {
+		t.Fatalf("AddTraining: %v", err)
+	}
+	if err := s.Fit(); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	legacy := legacySnapshot{
+		Config: legacyConfig{
+			Weight:      snap.Config.Weight,
+			Embed:       snap.Config.Embed,
+			Incremental: legacyIncremental{Rounds: 100, LearningRate: 0.025, NegativeSamples: 5, Tolerance: 0.01, Seed: 1},
+		},
+		TrainRecords: snap.TrainRecords,
+		Absorbed:     snap.Absorbed,
+		RetireLog:    snap.RetireLog,
+		Nodes:        snap.Nodes,
+		Dim:          snap.Dim,
+		Ego:          snap.Ego,
+		Ctx:          snap.Ctx,
+		Model:        snap.Model,
+		PredictSeq:   snap.PredictSeq,
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatalf("encode legacy snapshot: %v", err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load legacy snapshot: %v", err)
+	}
+	want := embed.IncrementalConfig{Rounds: 100, LearningRate: 0.025, NegativeSamples: 5, Seed: 1}
+	if got := loaded.Config().Incremental; got != want {
+		t.Errorf("loaded incremental config %+v, want %+v", got, want)
+	}
+	correct := 0
+	for i := range test[:10] {
+		res, err := loaded.Classify(context.Background(), &test[i])
+		if err != nil {
+			t.Fatalf("Classify(%s): %v", test[i].ID, err)
+		}
+		if res.Floor == test[i].Floor {
+			correct++
+		}
+	}
+	if correct < 7 {
+		t.Errorf("legacy snapshot classified %d of 10 scans correctly", correct)
 	}
 }
 

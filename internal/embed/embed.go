@@ -32,8 +32,9 @@
 // allocation-free fast path (see sgdUpdate8).
 //
 // The package also provides the paper's online-inference step: embedding
-// a newly inserted node while all other embeddings stay fixed (§V-A), and
-// an Objective diagnostic for experiment harnesses.
+// a newly inserted node while all other embeddings stay fixed (§V-A),
+// warm-started from the trained records that share its MACs (see
+// NegativeSampler), and an Objective diagnostic for experiment harnesses.
 package embed
 
 import (

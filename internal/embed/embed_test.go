@@ -218,7 +218,7 @@ func TestEmbedNewNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRecord: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig()); err != nil {
+	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), nil); err != nil {
 		t.Fatalf("EmbedNewNode: %v", err)
 	}
 	mean := func(ids []rfgraph.NodeID) float64 {
@@ -247,7 +247,7 @@ func TestEmbedNewNodeWithNewMAC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRecord: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig()); err != nil {
+	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), nil); err != nil {
 		t.Fatalf("EmbedNewNode: %v", err)
 	}
 	if emb.EgoOf(id) == nil {
@@ -352,12 +352,12 @@ func TestEmbedNewNodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, rfgraph.NodeID(10_000), DefaultIncrementalConfig()); err == nil {
+	if err := EmbedNewNode(g, emb, rfgraph.NodeID(10_000), DefaultIncrementalConfig(), nil); err == nil {
 		t.Error("expected error for unknown node")
 	}
 	bad := DefaultIncrementalConfig()
 	bad.Rounds = 0
-	if err := EmbedNewNode(g, emb, 0, bad); err == nil {
+	if err := EmbedNewNode(g, emb, 0, bad, nil); err == nil {
 		t.Error("expected error for invalid config")
 	}
 }
