@@ -289,17 +289,28 @@ func BenchmarkAblationOffsetValue(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelSGD compares serial and Hogwild training.
-func BenchmarkAblationParallelSGD(b *testing.B) {
-	for _, workers := range []int{1, 4} {
+// BenchmarkAblationParallelFits measures the parallelism training has:
+// portfolio.AddBuildings fitting four Campus3F buildings one at a time
+// (workers=1) and one per core (workers=0), each fit on one goroutine.
+func BenchmarkAblationParallelFits(b *testing.B) {
+	params := simulate.Campus3F(40, 1)
+	params.NumBuildings = 4
+	corpus, err := simulate.Generate(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buildings := make([]portfolio.BuildingCorpus, len(corpus.Buildings))
+	for i := range corpus.Buildings {
+		train := append([]dataset.Record(nil), corpus.Buildings[i].Records...)
+		dataset.SelectLabels(train, 4, rand.New(rand.NewSource(int64(i))))
+		buildings[i] = portfolio.BuildingCorpus{Name: corpus.Buildings[i].Name, Train: train}
+	}
+	cfg := core.Config{Embed: embed.DefaultConfig()}
+	cfg.Embed.SamplesPerEdge = 60
+	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			g := benchCampusGraph(b, 60)
-			cfg := embed.DefaultConfig()
-			cfg.Workers = workers
-			cfg.SamplesPerEdge = 60
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := embed.Train(g, cfg); err != nil {
+				if err := portfolio.New(cfg).AddBuildings(context.Background(), buildings, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,18 +10,17 @@
 // Each layer runs closed-loop at every -concurrency level (and open-loop
 // at -rate, when set), reporting p50/p95/p99 latency, throughput,
 // and allocations per request. The fit mode measures the offline
-// training pipeline instead, under the embedding strategy selected by
-// -fit-mode (fast Hogwild by default, parity for deterministic runs; see
-// docs/determinism.md). With -baseline the run is gated against a
-// committed BENCH.json: >-max-p95-regress percent p95 growth,
-// >-max-allocs-regress percent allocs/op growth, or a fit scenario
-// regressing on wall-clock, peak heap, or records/s throughput
-// (-max-fit-*-regress) exits non-zero, which is how CI fails a
-// regressing PR.
+// training pipeline instead: one building at a time, each fit on one
+// goroutine, as production fits every building (see docs/determinism.md).
+// With -baseline the run is gated against a committed BENCH.json:
+// >-max-p95-regress percent p95 growth, >-max-allocs-regress percent
+// allocs/op growth, or a fit scenario regressing on wall-clock, peak
+// heap, or records/s throughput (-max-fit-*-regress) exits non-zero,
+// which is how CI fails a regressing PR.
 //
 //	graficsbench -out BENCH.json
 //	graficsbench -mode http -concurrency 8 -rate 500 -requests 2000
-//	graficsbench -mode fit -fit-mode parity
+//	graficsbench -mode fit
 //	graficsbench -baseline ci/bench-baseline.json -max-p95-regress 20
 package main
 
@@ -43,7 +42,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/embed"
 	"repro/internal/portfolio"
 	"repro/internal/server"
 )
@@ -64,8 +62,6 @@ type config struct {
 	rate           float64
 	fitSizes       []int
 	fitClusterSize []int
-	coreCfg        core.Config
-	fitMode        embed.Strategy
 	out            string
 	baseline       string
 	maxP95Pct      float64
@@ -89,8 +85,6 @@ func parseFlags(args []string) (*config, error) {
 	rate := fs.Float64("rate", 0, "open-loop arrival rate in requests/sec (0 = closed loop only)")
 	fitSizes := fs.String("fit-sizes", "600,1200,2400", "comma list of corpus sizes for full-pipeline fit scenarios (fit mode)")
 	fitCluster := fs.String("fit-cluster-sizes", "5000", "comma list of item counts for clustering-only fit scenarios (fit mode; empty disables)")
-	fitMode := fs.String("fit-mode", "fast", "embedding training strategy for fleet bring-up and fit scenarios: fast (Hogwild) or parity (deterministic)")
-	fitWorkers := fs.Int("fit-workers", 0, "Hogwild SGD goroutines per fit under -fit-mode=fast (0 = GOMAXPROCS)")
 	out := fs.String("out", "BENCH.json", "output path for the machine-readable report")
 	baseline := fs.String("baseline", "", "BENCH.json to gate against (empty = no gate)")
 	maxP95 := fs.Float64("max-p95-regress", 20, "fail when p95 grows more than this percent vs the baseline (<=0 disables)")
@@ -120,20 +114,6 @@ func parseFlags(args []string) (*config, error) {
 		maxFitPeakPct: *maxFitPeak,
 		maxFitTputPct: *maxFitTput,
 	}
-	strategy, err := embed.ParseStrategy(*fitMode)
-	if err != nil {
-		return nil, fmt.Errorf("fit-mode: %w", err)
-	}
-	if *fitWorkers < 0 {
-		return nil, fmt.Errorf("fit-workers %d must be non-negative", *fitWorkers)
-	}
-	cfg.fitMode = strategy
-	// One core.Config drives both fleet bring-up and every fit scenario,
-	// so the benchmarked training path matches what the flags selected.
-	ecfg := embed.DefaultConfig()
-	ecfg.Strategy = strategy
-	ecfg.Workers = *fitWorkers
-	cfg.coreCfg = core.Config{Embed: ecfg}
 	want := strings.Split(*mode, ",")
 	if *mode == "all" {
 		want = []string{"core", "portfolio", "http", "fit"}
@@ -154,6 +134,7 @@ func parseFlags(args []string) (*config, error) {
 		}
 		cfg.levels = append(cfg.levels, n)
 	}
+	var err error
 	if cfg.fitSizes, err = parseSizes(*fitSizes); err != nil {
 		return nil, fmt.Errorf("fit-sizes: %w", err)
 	}
@@ -203,7 +184,7 @@ func run(args []string, w io.Writer) error {
 			serving = true
 		}
 	}
-	fleet := portfolio.New(cfg.coreCfg)
+	fleet := portfolio.New(core.Config{})
 	if serving {
 		trainStart := time.Now()
 		// Per-building fits run in parallel over a bounded pool — the
@@ -219,7 +200,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	file := bench.NewFile(workload.Spec)
-	file.FitMode = cfg.fitMode.String()
 	failed := 0
 	for _, mode := range cfg.modes {
 		if mode == "fit" {
@@ -305,7 +285,7 @@ func runFitScenarios(ctx context.Context, cfg *config, w io.Writer) ([]bench.Fit
 		}
 		n := len(wl.Train)
 		rep, err := bench.RunFit(ctx, fmt.Sprintf("fit/system/n%d", n), n, func(ctx context.Context) error {
-			sys := core.New(cfg.coreCfg)
+			sys := core.New(core.Config{})
 			if err := sys.AddTraining(wl.Train); err != nil {
 				return err
 			}
@@ -325,7 +305,7 @@ func runFitScenarios(ctx context.Context, cfg *config, w io.Writer) ([]bench.Fit
 		if err != nil {
 			return nil, err
 		}
-		sys := core.New(cfg.coreCfg)
+		sys := core.New(core.Config{})
 		if err := sys.AddTraining(wl.Train); err != nil {
 			return nil, err
 		}

@@ -1,7 +1,8 @@
 // Command graficsd serves floor identification over HTTP for a fleet of
 // buildings. It loads a corpus JSON (from datagen or a real collection),
-// trains one GRAFICS system per building, and exposes the v1 and v2 APIs
-// of internal/server:
+// trains one GRAFICS system per building — as many buildings at once as
+// there are cores, each fit on one goroutine — and exposes the v1 and v2
+// APIs of internal/server:
 //
 //	graficsd -corpus corpus.json -labels 4 -addr :8080 -state-dir /var/lib/grafics
 //
@@ -83,6 +84,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
+	"repro/internal/portfolio"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -192,8 +194,6 @@ func newApp(ctx context.Context, args []string, logf func(string, ...any)) (*app
 	seed := fs.Int64("seed", 1, "label-selection seed")
 	addr := fs.String("addr", ":8080", "listen address")
 	samples := fs.Int("samples-per-edge", 0, "E-LINE sample budget override")
-	fitMode := fs.String("fit-mode", "fast", "offline training strategy: fast (Hogwild parallel) or parity (deterministic single-goroutine); see docs/determinism.md")
-	fitWorkers := fs.Int("fit-workers", 0, "Hogwild SGD goroutines per fit under -fit-mode=fast (0 = GOMAXPROCS)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request deadline (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	stateDir := fs.String("state-dir", "", "durable state directory (snapshots + absorb WAL); empty keeps models in memory only")
@@ -231,18 +231,6 @@ func newApp(ctx context.Context, args []string, logf func(string, ...any)) (*app
 	if *samples > 0 {
 		cfg.Embed.SamplesPerEdge = *samples
 	}
-	strategy, err := embed.ParseStrategy(*fitMode)
-	if err != nil {
-		return nil, fmt.Errorf("-fit-mode: %w", err)
-	}
-	if *fitWorkers < 0 {
-		return nil, fmt.Errorf("-fit-workers %d must be non-negative", *fitWorkers)
-	}
-	// The strategy rides core.Config through every fit the daemon ever
-	// runs: initial bring-up, portfolio AddBuilding, and lifecycle refits
-	// (which rebuild from sys.Config()).
-	cfg.Embed.Strategy = strategy
-	cfg.Embed.Workers = *fitWorkers
 	lopts := lifecycle.Options{
 		StateDir: *stateDir,
 		WAL:      walOptions(*walSync),
@@ -319,7 +307,7 @@ func newApp(ctx context.Context, args []string, logf func(string, ...any)) (*app
 		logf("warm restart: %d buildings restored from %s", len(restored), *stateDir)
 	}
 
-	trained := 0
+	var fits []portfolio.BuildingCorpus
 	if *corpusPath != "" {
 		corpus, err := dataset.LoadFile(*corpusPath)
 		if err != nil {
@@ -335,14 +323,20 @@ func newApp(ctx context.Context, args []string, logf func(string, ...any)) (*app
 			records := append([]dataset.Record(nil), b.Records...)
 			rng := rand.New(rand.NewSource(*seed + int64(i)))
 			granted := dataset.SelectLabels(records, *labels, rng)
-			start := time.Now()
-			if err := p.AddBuildingCtx(ctx, b.Name, records); err != nil {
-				m.Close()
-				return nil, fmt.Errorf("train %s: %w", b.Name, err)
-			}
-			trained++
-			logf("trained %s: %d records, %d labels, %v", b.Name, len(records), granted, time.Since(start).Round(time.Millisecond))
+			logf("training %s: %d records, %d labels", b.Name, len(records), granted)
+			fits = append(fits, portfolio.BuildingCorpus{Name: b.Name, Train: records})
 		}
+	}
+	trained := len(fits)
+	if trained > 0 {
+		// One fit per core, each on one goroutine: buildings train side
+		// by side (see docs/determinism.md).
+		start := time.Now()
+		if err := p.AddBuildings(ctx, fits, 0); err != nil {
+			m.Close()
+			return nil, fmt.Errorf("train: %w", err)
+		}
+		logf("trained %d buildings in %v", trained, time.Since(start).Round(time.Millisecond))
 	}
 	buildings := len(p.Buildings())
 	if buildings == 0 {

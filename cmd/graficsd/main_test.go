@@ -50,20 +50,6 @@ func boot(t *testing.T, args ...string) (*app, *httptest.Server) {
 	return a, srv
 }
 
-// TestFitFlagValidation rejects bad -fit-mode / -fit-workers values
-// before any training starts.
-func TestFitFlagValidation(t *testing.T) {
-	corpusPath, _ := writeCorpus(t)
-	for _, args := range [][]string{
-		{"-corpus", corpusPath, "-fit-mode", "turbo"},
-		{"-corpus", corpusPath, "-fit-workers", "-3"},
-	} {
-		if _, err := newApp(context.Background(), args, t.Logf); err == nil {
-			t.Errorf("newApp(%v) accepted invalid fit flags", args)
-		}
-	}
-}
-
 // postJSON posts a JSON body and returns the response.
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
@@ -92,7 +78,6 @@ func TestKillAndRestart(t *testing.T) {
 		"-state-dir", stateDir,
 		"-addr", "unused",
 		"-samples-per-edge", "40",
-		"-fit-mode", "parity",
 	)
 	if a1.buildings != 2 {
 		t.Fatalf("boot trained %d buildings, want 2", a1.buildings)

@@ -117,16 +117,6 @@ const (
 	ModeLINEFirst = embed.ModeLINEFirst
 )
 
-// Training strategies for EmbedConfig.Strategy; the parity-vs-fast
-// contract is documented in docs/determinism.md.
-const (
-	// StrategyParity trains single-goroutine and bit-reproducibly (default).
-	StrategyParity = embed.StrategyParity
-	// StrategyFast trains Hogwild-parallel over EmbedConfig.Workers
-	// goroutines; statistically equivalent, not bit-reproducible.
-	StrategyFast = embed.StrategyFast
-)
-
 // System is a GRAFICS floor-identification model; see the package
 // documentation for the lifecycle.
 type System = core.System

@@ -62,10 +62,6 @@ type File struct {
 	// records/sec, and peak-heap estimates for Fit/refit at several
 	// corpus sizes.
 	Fits []FitReport `json:"fits,omitempty"`
-	// FitMode records which embedding training strategy ("fast" or
-	// "parity", see docs/determinism.md) the fit scenarios ran under.
-	// Additive within schema 2: absent in older documents.
-	FitMode string `json:"fit_mode,omitempty"`
 }
 
 // NewFile returns a File stamped with the current environment.
@@ -233,12 +229,11 @@ func CompareFits(baseline, current *File, maxWallPct, maxPeakPct float64) []Regr
 }
 
 // CompareFitThroughput gates fit scenarios on records/s: a drop of more
-// than maxDropPct percent below the baseline fails. This is the floor
-// that keeps parallel training honest — with the committed baseline
-// recorded under fast Hogwild mode, a change that silently falls back to
-// serial-speed training regresses far past any realistic threshold and
-// is caught even when wall-clock growth alone would squeak under the
-// CompareFits grace. A non-positive threshold disables the check;
+// than maxDropPct percent below the baseline fails. Every fit trains on
+// one goroutine, so this is the floor under single-goroutine training
+// speed, and it catches a slower kernel even when wall-clock growth
+// alone would squeak under the CompareFits grace. A non-positive
+// threshold disables the check;
 // scenarios present in only one file are skipped, like Compare. Reported
 // Pct is the relative drop in percent.
 func CompareFitThroughput(baseline, current *File, maxDropPct float64) []Regression {

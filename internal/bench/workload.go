@@ -4,12 +4,11 @@
 // offline fit path (RunFit: end-to-end model builds with wall clock,
 // records/s throughput, and peak-heap estimates). It generates
 // deterministic synthetic workloads over dataset.Records and emits
-// machine-readable reports (BENCH.json, including the training strategy
-// in fit_mode) so the performance trajectory is tracked PR over PR and
-// CI can gate regressions — latency, allocations, fit wall clock and
-// memory, and a fit-throughput floor (CompareFitThroughput) that keeps
-// parallel training from silently degrading to serial speed — against a
-// committed baseline.
+// machine-readable reports (BENCH.json) so the performance trajectory is
+// tracked PR over PR and CI can gate regressions — latency, allocations,
+// fit wall clock and memory, and a fit-throughput floor
+// (CompareFitThroughput) under single-goroutine training speed — against
+// a committed baseline.
 package bench
 
 import (

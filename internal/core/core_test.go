@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -341,6 +342,127 @@ func TestLoadLegacyIncrementalConfig(t *testing.T) {
 	}
 	if correct < 7 {
 		t.Errorf("legacy snapshot classified %d of 10 scans correctly", correct)
+	}
+}
+
+// TestLoadLegacyEmbedConfig: snapshots written while training could run
+// Hogwild store embed.Config with a Workers field, and daemons stored
+// StrategyFast in it. gob drops the retired field and the strategy is
+// ignored, so such a snapshot loads, classifies, and refits — to exactly
+// the model a fresh fit of its corpus gives.
+func TestLoadLegacyEmbedConfig(t *testing.T) {
+	type legacyEmbed struct {
+		Mode            embed.Mode
+		Dim             int
+		LearningRate    float64
+		NegativeSamples int
+		SamplesPerEdge  int
+		Dropout         float64
+		Strategy        embed.Strategy
+		Workers         int
+		Seed            int64
+	}
+	type legacyConfig struct {
+		Weight      WeightSpec
+		Embed       legacyEmbed
+		Incremental embed.IncrementalConfig
+	}
+	type legacySnapshot struct {
+		Config       legacyConfig
+		TrainRecords []dataset.Record
+		Absorbed     []dataset.Record
+		RetireLog    []RetireEvent
+		Nodes        int
+		Dim          int
+		Ego          [][]float64
+		Ctx          [][]float64
+		Model        cluster.Model
+		PredictSeq   int
+	}
+	train, test := campusSplit(t, 30, 4, 6)
+	s := New(fastConfig())
+	if err := s.AddTraining(train); err != nil {
+		t.Fatalf("AddTraining: %v", err)
+	}
+	if err := s.Fit(); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	e := snap.Config.Embed
+	legacy := legacySnapshot{
+		Config: legacyConfig{
+			Weight: snap.Config.Weight,
+			Embed: legacyEmbed{
+				Mode: e.Mode, Dim: e.Dim, LearningRate: e.LearningRate,
+				NegativeSamples: e.NegativeSamples, SamplesPerEdge: e.SamplesPerEdge,
+				Dropout: e.Dropout, Strategy: embed.StrategyFast, Workers: 4, Seed: e.Seed,
+			},
+			Incremental: snap.Config.Incremental,
+		},
+		TrainRecords: snap.TrainRecords,
+		Absorbed:     snap.Absorbed,
+		RetireLog:    snap.RetireLog,
+		Nodes:        snap.Nodes,
+		Dim:          snap.Dim,
+		Ego:          snap.Ego,
+		Ctx:          snap.Ctx,
+		Model:        snap.Model,
+		PredictSeq:   snap.PredictSeq,
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatalf("encode legacy snapshot: %v", err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load legacy snapshot: %v", err)
+	}
+	want := e
+	want.Strategy = embed.StrategyFast
+	if got := loaded.Config().Embed; got != want {
+		t.Errorf("loaded embed config %+v, want %+v", got, want)
+	}
+	correct := 0
+	for i := range test[:10] {
+		res, err := loaded.Classify(context.Background(), &test[i])
+		if err != nil {
+			t.Fatalf("Classify(%s): %v", test[i].ID, err)
+		}
+		if res.Floor == test[i].Floor {
+			correct++
+		}
+	}
+	if correct < 7 {
+		t.Errorf("legacy snapshot classified %d of 10 scans correctly", correct)
+	}
+	// Refit the way lifecycle does: a new System from the loaded config
+	// over the loaded corpus.
+	refit := New(loaded.Config())
+	if err := refit.AddTraining(loaded.CorpusRecords()); err != nil {
+		t.Fatalf("refit AddTraining: %v", err)
+	}
+	if err := refit.Fit(); err != nil {
+		t.Fatalf("refit Fit: %v", err)
+	}
+	for i := 0; i < s.TrainingRecords(); i++ {
+		a, err := s.TrainingEmbedding(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := refit.TrainingEmbedding(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a, b) {
+			t.Fatalf("refit of legacy snapshot: training record %d embeds to %v, fresh fit %v", i, b, a)
+		}
 	}
 }
 

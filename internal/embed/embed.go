@@ -11,22 +11,15 @@
 // (Pr(z) ∝ deg(z)^{3/4}). The sample stream is split into fixed-size
 // chunks; chunk i draws every random decision (dropout coin flips, edge
 // picks, negative picks) from its own sampling.Fast stream whose seed is
-// a pure function of (Config.Seed, i), so the stream a chunk processes
-// does not depend on which goroutine runs it or when. Two execution
-// strategies share that stream:
+// a pure function of (Config.Seed, i), and one batch of negative draws
+// serves every direction of a positive sample. Chunks run in index order
+// on the calling goroutine, so a fit is a pure function of (graph,
+// Config): bit-identical across runs, machines of the same architecture,
+// and GOMAXPROCS. Parallelism lives one level up: fits of different
+// buildings run side by side (portfolio.AddBuildings), each on its own
+// goroutine. The written contract — what is reproducible and what CI
+// pins — lives in docs/determinism.md.
 //
-//   - StrategyParity: chunks run sequentially in index order on one
-//     goroutine. Bit-identical for a fixed seed across runs, machines
-//     (same architecture), worker counts, and GOMAXPROCS.
-//   - StrategyFast: Hogwild — Config.Workers goroutines claim chunks over
-//     the internal/par pool and update the shared embedding matrix with
-//     benign data races, one batch of negative draws serving every
-//     direction of a positive sample. Statistically equivalent to parity
-//     and several times faster; not bit-reproducible with more than one
-//     effective worker.
-//
-// The written contract between the two — what is reproducible, what CI
-// pins, how the race detector is handled — lives in docs/determinism.md.
 // The innermost update reuses the dim-8 unrolled kernels that power the
 // online path, so the paper's 8-dimensional configuration takes a fused
 // allocation-free fast path (see sgdUpdate8).
@@ -43,10 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
-	"repro/internal/par"
 	"repro/internal/rfgraph"
 	"repro/internal/sampling"
 )
@@ -89,46 +79,17 @@ func (m Mode) String() string {
 	}
 }
 
-// Strategy selects how the chunked SGD sample stream is executed. The
-// full parity-vs-fast contract is written down in docs/determinism.md.
+// Strategy is ignored: every fit runs the one sample schedule described
+// in the package documentation. The type and its two constants remain
+// only so that callers which still set Config.Strategy keep compiling.
 type Strategy int
 
 const (
-	// StrategyParity (the zero value) runs chunks sequentially in index
-	// order on a single goroutine. For a fixed Seed the result is
-	// bit-identical across runs, worker counts, and GOMAXPROCS; tests and
-	// experiment harnesses rely on it.
+	// StrategyParity is the zero value; ignored.
 	StrategyParity Strategy = iota
-	// StrategyFast executes the same chunk stream Hogwild-style: up to
-	// Config.Workers goroutines claim chunks and update the shared
-	// embedding matrix without locks. Statistically equivalent to parity
-	// and several times faster on multi-core hosts; not bit-reproducible
-	// with more than one effective worker.
+	// StrategyFast is ignored.
 	StrategyFast
 )
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyParity:
-		return "parity"
-	case StrategyFast:
-		return "fast"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// ParseStrategy maps the CLI spellings "parity" and "fast" to a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "parity":
-		return StrategyParity, nil
-	case "fast":
-		return StrategyFast, nil
-	default:
-		return 0, fmt.Errorf("embed: unknown strategy %q (want parity or fast)", s)
-	}
-}
 
 // Config holds training hyperparameters. The defaults mirror §VI-A of the
 // paper: 8-dimensional embeddings, learning rate 0.001, dropout 0.1.
@@ -149,15 +110,8 @@ type Config struct {
 	// Dropout is the probability of skipping a sampled edge update; the
 	// paper trains E-LINE with dropout 0.1 as a regularizer.
 	Dropout float64
-	// Strategy selects parity (deterministic, single-goroutine) or fast
-	// (Hogwild parallel) execution of the same sample stream. Zero value
-	// is StrategyParity.
+	// Strategy is ignored; see the Strategy type.
 	Strategy Strategy
-	// Workers caps the Hogwild goroutines under StrategyFast; 0 means
-	// GOMAXPROCS. StrategyParity always runs one goroutine and ignores
-	// Workers. Fast with a single effective worker is bit-identical to
-	// parity.
-	Workers int
 	// Seed roots all randomness.
 	Seed int64
 }
@@ -188,28 +142,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("embed: samples per edge %d must be positive", c.SamplesPerEdge)
 	case c.Dropout < 0 || c.Dropout >= 1:
 		return fmt.Errorf("embed: dropout %v outside [0,1)", c.Dropout)
-	case c.Workers < 0:
-		return fmt.Errorf("embed: workers %d must be non-negative", c.Workers)
 	}
 	switch c.Mode {
 	case 0, ModeELINE, ModeLINESecond, ModeLINEFirst, ModeLINEBoth:
 	default:
 		return fmt.Errorf("embed: unknown mode %v", c.Mode)
 	}
-	switch c.Strategy {
-	case StrategyParity, StrategyFast:
-	default:
-		return fmt.Errorf("embed: unknown strategy %v", c.Strategy)
-	}
 	return nil
-}
-
-// hogwildWorkers resolves Config.Workers for StrategyFast.
-func (c *Config) hogwildWorkers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 func (c *Config) mode() Mode {
@@ -311,7 +250,7 @@ func sigmoid(x float64) float64 {
 	return sigmoidTable[int((x+sigmoidBound)*(sigmoidSize/(2*sigmoidBound))+0.5)]
 }
 
-// trainContext bundles the immutable sampling state shared by workers.
+// trainContext bundles the immutable sampling state of one training run.
 type trainContext struct {
 	edges    []rfgraph.DirectedEdge
 	edgeDist *sampling.Alias
@@ -359,16 +298,14 @@ func Train(g *rfgraph.Graph, cfg Config) (*Embedding, error) {
 	return TrainCtx(context.Background(), g, cfg)
 }
 
-// chunkSamples is the unit of both scheduling and determinism: the SGD
+// chunkSamples is the unit of determinism and cancellation: the SGD
 // sample stream is cut into fixed chunks, and chunk i derives every
-// random decision from its own RNG stream keyed by (Seed, i), so any
-// execution order of chunks draws exactly the same samples. 1024 samples
-// is a fraction of a millisecond of training — it bounds cancellation
-// latency and amortizes the per-chunk scheduling cost (an atomic claim
-// and a scratch-pool round trip) to noise.
+// random decision from its own RNG stream keyed by (Seed, i) and its
+// learning rate from i alone. 1024 samples is a fraction of a
+// millisecond of training, which bounds cancellation latency.
 const chunkSamples = 1024
 
-// TrainCtx is Train with cancellation: workers poll ctx at every chunk
+// TrainCtx is Train with cancellation: it polls ctx at every chunk
 // boundary (1024 samples), so a cancelled context — a server shutting
 // down mid-refit — aborts training within a fraction of a millisecond
 // instead of grinding through the remaining samples. A cancelled run
@@ -402,10 +339,8 @@ func TrainCtx(ctx context.Context, g *rfgraph.Graph, cfg Config) (*Embedding, er
 	return emb, nil
 }
 
-// trainer bundles the shared state of one training run. The embedding
-// matrix is the only mutable shared state; under StrategyFast it is
-// updated Hogwild-style with benign word-level races (the contract is
-// written down in docs/determinism.md).
+// trainer bundles the state of one training run; the embedding matrix
+// is its only mutable part.
 type trainer struct {
 	tc        *trainContext
 	emb       *Embedding
@@ -414,44 +349,22 @@ type trainer struct {
 	total     int   // SGD samples across all chunks
 	chunks    int   // ceil(total / chunkSamples)
 	chunkBase int64 // seed root for per-chunk RNG streams
-	raceMu    sync.Mutex
 }
 
-// run executes every chunk over the internal/par pool. StrategyParity
-// pins the pool to one worker, which par runs sequentially in index
-// order on the calling goroutine — that ordering is the serial
-// reference the parity tests pin. StrategyFast lets up to
-// Config.Workers goroutines claim chunks; each chunk still draws its
-// own deterministic sample stream, only the matrix updates race.
+// run executes chunks 0..chunks-1 in order on the calling goroutine —
+// the serial schedule the parity tests pin — until ctx is done.
 func (t *trainer) run(ctx context.Context) error {
-	workers := 1
-	if t.cfg.Strategy == StrategyFast {
-		workers = t.cfg.hogwildWorkers()
+	ws := newTrainScratch(t.cfg)
+	for c := 0; c < t.chunks && ctx.Err() == nil; c++ {
+		t.runChunk(c, ws)
 	}
-	pool := sync.Pool{New: func() any { return newTrainScratch(t.cfg) }}
-	return par.ForEachCtxBounded(ctx, t.chunks, workers, func(c int) {
-		ws := pool.Get().(*trainScratch)
-		if raceDetectorEnabled && workers > 1 {
-			// Under the race detector the benign Hogwild races would
-			// (correctly) be reported, so chunk application serializes —
-			// a legal fast-mode schedule that keeps the chunk claiming,
-			// per-chunk seeding, and cancellation machinery exercised.
-			t.raceMu.Lock()
-			t.runChunk(c, ws)
-			t.raceMu.Unlock()
-		} else {
-			t.runChunk(c, ws)
-		}
-		pool.Put(ws)
-	})
+	return ctx.Err()
 }
 
 // lrAt returns the learning rate for chunk c: linear decay by stream
 // position, floored at LearningRate/10⁴ as in the original LINE. Decaying
 // by chunk start index (instead of the old shared progress counter) makes
-// the schedule a pure function of the chunk index, identical under any
-// execution order, and drops the last piece of cross-worker coordination
-// from the hot loop.
+// the schedule a pure function of the chunk index.
 func (t *trainer) lrAt(c int) float64 {
 	lr := t.cfg.LearningRate * (1 - float64(c*chunkSamples)/float64(t.total))
 	if min := t.cfg.LearningRate * 1e-4; lr < min {
@@ -460,9 +373,9 @@ func (t *trainer) lrAt(c int) float64 {
 	return lr
 }
 
-// trainScratch is per-worker state: an RNG reseeded for each chunk plus
-// the buffers the update kernels stage into. Workers take one from a
-// pool per chunk, so the hot loop allocates nothing.
+// trainScratch is a run's scratch state: an RNG reseeded for each chunk
+// plus the buffers the update kernels stage into, allocated once per run
+// so the hot loop allocates nothing.
 type trainScratch struct {
 	rng  sampling.Fast
 	zbuf []rfgraph.NodeID // negative draws, shared by both E-LINE directions
@@ -482,12 +395,10 @@ func newTrainScratch(cfg Config) *trainScratch {
 
 // runChunk draws and applies chunk c's slice of the sample stream. Every
 // random decision — dropout coin flips, edge picks, negative picks —
-// comes from a Fast RNG seeded by (chunkBase, c), so the chunk's stream
-// is identical whether it runs in order on one goroutine (parity) or
-// interleaved across many (fast). One batch of negatives serves every
-// direction of a positive sample (common random numbers): half the alias
-// draws of the old per-direction scheme, statistically equivalent for
-// negative-sampling SGD.
+// comes from a Fast RNG seeded by (chunkBase, c). One batch of negatives
+// serves every direction of a positive sample (common random numbers):
+// half the alias draws of the old per-direction scheme, statistically
+// equivalent for negative-sampling SGD.
 //
 //grafics:hotpath
 func (t *trainer) runChunk(c int, ws *trainScratch) {

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -91,7 +92,6 @@ func TestConfigValidate(t *testing.T) {
 		{"bad negatives", func(c *Config) { c.NegativeSamples = -1 }, false},
 		{"bad samples", func(c *Config) { c.SamplesPerEdge = 0 }, false},
 		{"bad dropout", func(c *Config) { c.Dropout = 1 }, false},
-		{"bad workers", func(c *Config) { c.Workers = -2 }, false},
 		{"bad mode", func(c *Config) { c.Mode = Mode(99) }, false},
 	}
 	for _, tt := range tests {
@@ -146,6 +146,21 @@ func TestTrainDeterministic(t *testing.T) {
 				t.Fatalf("ego[%d][%d] differs across identical seeds", i, d)
 			}
 		}
+	}
+}
+
+// TestTrainCancelled: a fit under a cancelled context returns
+// context.Canceled and no embedding.
+func TestTrainCancelled(t *testing.T) {
+	g, _, _ := twoFloorGraph(t, 20, 3, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	emb, err := TrainCtx(ctx, g, DefaultConfig())
+	if err != context.Canceled {
+		t.Errorf("TrainCtx on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if emb != nil {
+		t.Error("cancelled TrainCtx returned an embedding")
 	}
 }
 

@@ -1,18 +1,17 @@
 package embed
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rfgraph"
 	"repro/internal/sampling"
 )
 
-// This file pins the parity half of the determinism contract
-// (docs/determinism.md): StrategyParity must be bit-identical to a plain
-// serial re-implementation of the canonical sample stream, for every
-// dimension (fused dim-8 kernel and generic path alike) and regardless
-// of the Workers setting; StrategyFast with one effective worker must
-// coincide with parity.
+// This file pins the determinism contract (docs/determinism.md): a fit
+// must be bit-identical to a plain serial re-implementation of the
+// canonical sample stream, for every dimension (fused dim-8 kernel and
+// generic path alike), and Config.Strategy must not change a bit.
 
 // referenceTrain re-implements the canonical training semantics with
 // deliberately naive code: explicit chunk loop, fresh RNG per chunk,
@@ -168,43 +167,27 @@ func TestParityMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestParityIgnoresWorkers pins that Workers has no effect under
-// StrategyParity: the result is a pure function of the seed, whatever
-// parallelism a caller configured for fast mode.
-func TestParityIgnoresWorkers(t *testing.T) {
-	g, _, _ := twoFloorGraph(t, 8, 3, 2)
+// TestFastMatchesParity pins that Config.Strategy is ignored: two fits
+// under StrategyFast, which production configurations still set, are
+// bit-identical to each other and to a StrategyParity fit, whatever
+// GOMAXPROCS is. CI runs it under -race at -cpu 1,4.
+func TestFastMatchesParity(t *testing.T) {
+	g, _, _ := twoFloorGraph(t, 20, 3, 3)
+	ctx := context.Background()
 	cfg := DefaultConfig()
-	cfg.SamplesPerEdge = 20
-	base, err := Train(g, cfg)
+	parity, err := TrainCtx(ctx, g, cfg)
 	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		cfg.Workers = workers
-		got, err := Train(g, cfg)
-		if err != nil {
-			t.Fatalf("Train(workers=%d): %v", workers, err)
-		}
-		requireBitIdentical(t, base, got, "parity workers")
-	}
-}
-
-// TestFastSingleWorkerMatchesParity pins the contract's anchor point:
-// StrategyFast with one effective worker claims chunks in index order on
-// one goroutine, which is exactly the parity schedule.
-func TestFastSingleWorkerMatchesParity(t *testing.T) {
-	g, _, _ := twoFloorGraph(t, 8, 3, 2)
-	cfg := DefaultConfig()
-	cfg.SamplesPerEdge = 20
-	parity, err := Train(g, cfg)
-	if err != nil {
-		t.Fatalf("Train(parity): %v", err)
+		t.Fatalf("TrainCtx(parity): %v", err)
 	}
 	cfg.Strategy = StrategyFast
-	cfg.Workers = 1
-	fast, err := Train(g, cfg)
+	first, err := TrainCtx(ctx, g, cfg)
 	if err != nil {
-		t.Fatalf("Train(fast,1): %v", err)
+		t.Fatalf("TrainCtx(fast): %v", err)
 	}
-	requireBitIdentical(t, parity, fast, "fast single worker")
+	second, err := TrainCtx(ctx, g, cfg)
+	if err != nil {
+		t.Fatalf("TrainCtx(fast): %v", err)
+	}
+	requireBitIdentical(t, first, second, "fast rerun")
+	requireBitIdentical(t, parity, first, "fast vs parity")
 }

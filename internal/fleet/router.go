@@ -49,8 +49,9 @@ type RouterOptions struct {
 	// half-open probe succeeds. Default defaultBreakerThreshold.
 	BreakerThreshold int
 	// Transport substitutes the HTTP transport for every outbound call
-	// (forwards, scatters, health polls). Nil means
-	// http.DefaultTransport; chaos tests inject fault.Transport here.
+	// (forwards, scatters, health polls). Nil means a clone of
+	// http.DefaultTransport that keeps routerIdleConnsPerHost idle
+	// connections per node; chaos tests inject fault.Transport here.
 	Transport http.RoundTripper
 	Logf      func(string, ...any)
 }
@@ -97,6 +98,13 @@ const routerMaxBatch = 4096
 
 // routerBatchWorkers bounds concurrently routed scans inside one batch.
 const routerBatchWorkers = 16
+
+// routerIdleConnsPerHost is how many idle connections the default router
+// transport keeps per node: http.DefaultTransport's whole pool
+// (MaxIdleConns) rather than its 2 per host, which made every burst of
+// more than 2 concurrent forwards to a node close the surplus
+// connections and dial them again on the next burst.
+const routerIdleConnsPerHost = 100
 
 // failoverCooldown is how long a group waits between promotion attempts,
 // in health intervals.
@@ -206,6 +214,11 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	opts.HealthInterval = nonZero(opts.HealthInterval, defaultHealthInterval)
 	opts.HTTPTimeout = nonZero(opts.HTTPTimeout, defaultHTTPTimeout)
+	if opts.Transport == nil {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = routerIdleConnsPerHost
+		opts.Transport = t
+	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = nopLogf
@@ -254,11 +267,13 @@ func (rt *Router) Start(ctx context.Context) {
 	})
 }
 
-// Stop halts the health loop and waits for it to exit.
+// Stop halts the health loop, waits for it to exit, and closes the
+// transport's idle connections.
 func (rt *Router) Stop() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.startOnce.Do(func() { close(rt.done) })
 	<-rt.done
+	rt.hc.CloseIdleConnections()
 }
 
 func (rt *Router) loop(ctx context.Context) {

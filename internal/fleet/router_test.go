@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -393,6 +395,67 @@ func TestRouterMACPollsCarryOnlyChanges(t *testing.T) {
 		t.Fatalf("scan of the new MAC: status %d body %v, want 200 from %s", status, body, f.names[1])
 	}
 	f.wantHops(t, "scan of the new MAC", before, 1)
+}
+
+// TestRouterReusesNodeConnections: the router keeps an idle connection
+// per concurrent forward, so later bursts of forwards to one node reuse
+// the connections the first burst opened instead of dialling again.
+func TestRouterReusesNodeConnections(t *testing.T) {
+	const fanout, rounds = 16, 5
+	var (
+		mu      sync.Mutex
+		arrived int
+		gate    = make(chan struct{})
+	)
+	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Hold each request until the whole burst is in flight, so every
+		// forward of a burst needs a connection of its own.
+		mu.Lock()
+		g := gate
+		if arrived++; arrived == fanout {
+			arrived = 0
+			close(gate)
+			gate = make(chan struct{})
+		}
+		mu.Unlock()
+		<-g
+		w.Write([]byte("{}"))
+	}))
+	var opened atomic.Int64
+	node.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	node.Start()
+	defer node.Close()
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	var first int64
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < fanout; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, _, err := rt.forward(context.Background(), http.MethodPost, node.URL, "/v2/classify", []byte("{}"))
+				if err != nil || status != http.StatusOK {
+					t.Errorf("forward: status %d, err %v", status, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if round == 0 {
+			first = opened.Load()
+			continue
+		}
+		if n := opened.Load() - first; n != 0 {
+			t.Fatalf("round %d opened %d new connections; the first round's %d should have been reused", round, n, first)
+		}
+	}
 }
 
 // TestRouterRemoveMACEscapesPath is the regression test for forwarding

@@ -1,16 +1,10 @@
 // Package par holds the tiny fan-out helpers shared by the repo's
 // parallel paths: run n independent tasks over a bounded worker pool,
 // with or without context-based cancellation. Callers include batch
-// classification, portfolio bulk bring-up and snapshot restore, and
-// Hogwild embedding training (embed.StrategyFast), which claims
-// 1024-sample chunks through ForEachCtxBounded.
-//
-// One property here is load-bearing for the determinism contract
-// (docs/determinism.md): with an effective worker count of one, every
-// helper runs indices 0..n-1 sequentially, in order, on the caller's
-// goroutine. embed's parity strategy — and fast mode on a single-CPU
-// host — relies on that to reproduce the serial training schedule
-// bit-for-bit.
+// classification and portfolio bulk bring-up and snapshot restore, where
+// each task is one building's whole fit or load. With an effective
+// worker count of one, every helper runs indices 0..n-1 in order on the
+// caller's goroutine.
 package par
 
 import (

@@ -186,7 +186,9 @@ type BuildingCorpus struct {
 // AddBuildings registers and fits many buildings concurrently over a
 // bounded worker pool (workers <= 0 means GOMAXPROCS) — the fleet
 // bring-up path, where per-building fits are independent and sequential
-// training leaves all but one core idle. All names are validated and
+// training leaves all but one core idle. Each fit trains on its worker's
+// goroutine, so workers bounds both the cores bring-up takes and the
+// fits it holds in memory at once. All names are validated and
 // reserved before any fit starts, so a doomed batch (duplicate or
 // reserved name) fails before burning training time. Buildings whose fit
 // succeeds are published even when sibling fits fail; the returned error

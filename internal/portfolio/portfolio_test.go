@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -522,6 +524,64 @@ func TestAddBuildingsParallel(t *testing.T) {
 		}
 		if routed.Building != c.Name {
 			t.Errorf("scan from %s routed to %s", c.Name, routed.Building)
+		}
+	}
+}
+
+// TestAddBuildingsMatchesSerialFits: a building fitted beside others by
+// AddBuildings is the building AddBuildingCtx fits alone — the same
+// embedding bits and the same seeded classifications — even under the
+// StrategyFast setting production configurations still carry. CI runs it
+// under -race at -cpu 1,4.
+func TestAddBuildingsMatchesSerialFits(t *testing.T) {
+	cs := corpora(t, 4, 81)
+	cfg := core.Config{}
+	cfg.Embed = embed.DefaultConfig()
+	cfg.Embed.SamplesPerEdge = 40
+	cfg.Embed.Strategy = embed.StrategyFast
+	ctx := context.Background()
+	bulk := New(cfg)
+	if err := bulk.AddBuildings(ctx, cs, 0); err != nil {
+		t.Fatalf("AddBuildings: %v", err)
+	}
+	for _, c := range cs {
+		alone := New(cfg)
+		if err := alone.AddBuildingCtx(ctx, c.Name, c.Train); err != nil {
+			t.Fatalf("AddBuildingCtx(%s): %v", c.Name, err)
+		}
+		got, err := bulk.System(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := alone.System(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < want.TrainingRecords(); i++ {
+			we, err := want.TrainingEmbedding(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ge, err := got.TrainingEmbedding(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(we, ge) {
+				t.Fatalf("%s: training record %d embeds to %v beside other fits, %v alone", c.Name, i, ge, we)
+			}
+		}
+		for i := range c.Train[:20] {
+			wr, err := want.Classify(ctx, &c.Train[i], core.WithSeed(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr, err := got.Classify(ctx, &c.Train[i], core.WithSeed(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wr, gr) {
+				t.Fatalf("%s: scan %s classifies to %+v beside other fits, %+v alone", c.Name, c.Train[i].ID, gr, wr)
+			}
 		}
 	}
 }
