@@ -430,68 +430,6 @@ func BenchmarkELINETrainPerSample(b *testing.B) {
 	b.ReportMetric(float64(edges*cfg.SamplesPerEdge), "sgdSamples/op")
 }
 
-// BenchmarkOnlinePredict measures the paper's real-time inference claim:
-// one online scan embedded and classified against a trained system.
-func BenchmarkOnlinePredict(b *testing.B) {
-	corpus, err := simulate.Generate(simulate.Campus3F(60, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	train, test, err := dataset.Split(&corpus.Buildings[0], 0.7, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dataset.SelectLabels(train, 4, rng)
-	sys := core.New(core.Config{})
-	if err := sys.AddTraining(train); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Fit(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Predict(&test[i%len(test)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPredictParallel measures Predict throughput under concurrent
-// load (run with -cpu 1,4,8 to see scaling). Each goroutine classifies
-// held-out scans against the same trained system; with snapshot-overlay
-// inference the goroutines share only read locks and scale with cores.
-func BenchmarkPredictParallel(b *testing.B) {
-	corpus, err := simulate.Generate(simulate.Campus3F(60, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	train, test, err := dataset.Split(&corpus.Buildings[0], 0.7, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dataset.SelectLabels(train, 4, rng)
-	sys := core.New(core.Config{})
-	if err := sys.AddTraining(train); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Fit(); err != nil {
-		b.Fatal(err)
-	}
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1)) % len(test)
-			if _, err := sys.Predict(&test[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkClassifyBatchNDJSON measures the v2 streaming batch path end
 // to end: an NDJSON body of held-out scans posted to /v2/classify/batch,
 // classified in parallel chunks, and streamed back line by line. Reported
@@ -514,7 +452,7 @@ func BenchmarkClassifyBatchNDJSON(b *testing.B) {
 	if err := p.AddBuilding(corpus.Buildings[0].Name, train); err != nil {
 		b.Fatal(err)
 	}
-	h := server.Handler(p)
+	h := server.NewHandler(p, p, server.Options{})
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	for i := range test {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -133,16 +134,17 @@ func runEval(args []string) error {
 	if err := sys.Fit(); err != nil {
 		return err
 	}
+	ctx := context.Background()
 	conf := metrics.NewConfusion()
 	failures := 0
 	for i := range test {
-		pred, err := sys.Predict(&test[i])
+		res, err := sys.Classify(ctx, &test[i])
 		if err != nil {
 			failures++
 			conf.Add(test[i].Floor, -1)
 			continue
 		}
-		conf.Add(test[i].Floor, pred.Floor)
+		conf.Add(test[i].Floor, res.Floor)
 	}
 	rep := conf.Compute()
 	fmt.Printf("building %s: %d train / %d test, %d floors\n", b.Name, len(train), len(test), b.Floors)
@@ -175,13 +177,14 @@ func runPredict(args []string) error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	for i := range records {
-		pred, err := sys.Predict(&records[i])
+		res, err := sys.Classify(ctx, &records[i])
 		if err != nil {
 			fmt.Printf("%s: error: %v\n", records[i].ID, err)
 			continue
 		}
-		fmt.Printf("%s: floor %d (centroid distance %.4f)\n", records[i].ID, pred.Floor, pred.Distance)
+		fmt.Printf("%s: floor %d (centroid distance %.4f)\n", records[i].ID, res.Floor, res.Distance)
 	}
 	return nil
 }

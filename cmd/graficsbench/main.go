@@ -428,7 +428,7 @@ func httpTarget(fleet *portfolio.Portfolio, queries []dataset.Record) (bench.Tar
 	if err != nil {
 		return nil, nil, fmt.Errorf("listen: %w", err)
 	}
-	srv := &http.Server{Handler: server.Handler(fleet)}
+	srv := &http.Server{Handler: server.NewHandler(fleet, fleet, server.Options{})}
 	go func() { _ = srv.Serve(ln) }()
 	url := fmt.Sprintf("http://%s/v2/classify", ln.Addr())
 

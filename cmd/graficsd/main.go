@@ -1,13 +1,13 @@
 // Command graficsd serves floor identification over HTTP for a fleet of
 // buildings. It loads a corpus JSON (from datagen or a real collection),
 // trains one GRAFICS system per building — as many buildings at once as
-// there are cores, each fit on one goroutine — and exposes the v1 and v2
-// APIs of internal/server:
+// there are cores, each fit on one goroutine — and exposes the /v2 API
+// of internal/server:
 //
 //	graficsd -corpus corpus.json -labels 4 -addr :8080 -state-dir /var/lib/grafics
 //
 //	curl localhost:8080/v2/healthz
-//	curl localhost:8080/v1/buildings
+//	curl localhost:8080/v2/stats
 //	curl -X POST localhost:8080/v2/classify -d @scan.json
 //	curl -X POST localhost:8080/v2/classify/batch --data-binary @scans.ndjson
 //	curl -X DELETE localhost:8080/v2/macs/aa:bb:cc:dd:ee:01
@@ -476,7 +476,7 @@ func run(args []string) error {
 		case "follower":
 			log.Printf("serving read-only replica on %s (writes redirect to the primary)", a.addr)
 		default:
-			log.Printf("serving %d buildings on %s (v1 + v2, role=%s)", a.buildings, a.addr, a.role)
+			log.Printf("serving %d buildings on %s (v2, role=%s)", a.buildings, a.addr, a.role)
 		}
 		errCh <- srv.ListenAndServe()
 	}()

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -67,6 +68,7 @@ func main() {
 			trajectory: []int{1, 1, 0, 0, 0, 1, 1, 1}}, // wandered to lobby
 	}
 
+	ctx := context.Background()
 	for _, s := range subjects {
 		fmt.Printf("-- %s\n", s.name)
 		cursor := make(map[int]int)
@@ -79,7 +81,7 @@ func main() {
 			}
 			scan := pool[cursor[floor]%len(pool)]
 			cursor[floor]++
-			pred, err := sys.Predict(&scan)
+			pred, err := sys.Classify(ctx, &scan)
 			if err != nil {
 				if errors.Is(err, grafics.ErrOutOfBuilding) {
 					fmt.Printf("   t=%d ALERT: subject appears to have left the building\n", step)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,6 +60,7 @@ func main() {
 		journey = append(journey, f)
 	}
 
+	ctx := context.Background()
 	fmt.Println("\nshopper journey (scan -> predicted floor):")
 	cursor := make(map[int]int)
 	lastFloor := -1
@@ -70,7 +72,7 @@ func main() {
 		}
 		scan := pool[cursor[floor]%len(pool)]
 		cursor[floor]++
-		pred, err := sys.Predict(&scan)
+		pred, err := sys.Classify(ctx, &scan)
 		if err != nil {
 			log.Fatalf("predict: %v", err)
 		}
@@ -98,7 +100,7 @@ func main() {
 		}
 		ok := 0
 		for i := range pool {
-			pred, err := sys.Predict(&pool[i])
+			pred, err := sys.Classify(ctx, &pool[i])
 			if err == nil && pred.Floor == f {
 				ok++
 			}

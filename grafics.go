@@ -39,9 +39,6 @@
 // Both [System] here and the multi-building portfolio implement the
 // [Classifier] interface.
 //
-// The older Predict/PredictBatch/Absorb methods remain as deprecated
-// wrappers over the same pipeline.
-//
 // For long-running deployments, [OpenLifecycle] wraps a fleet
 // ([Portfolio]) with the durable model lifecycle: absorbed scans are
 // journaled to a write-ahead log and captured in portfolio snapshots
@@ -156,10 +153,6 @@ func WithoutEmbedding() Option { return core.WithoutEmbedding() }
 
 // NewRequest resolves opts against the defaults and binds them to rec.
 func NewRequest(rec *Record, opts ...Option) Request { return core.NewRequest(rec, opts...) }
-
-// Prediction is the legacy outcome shape of the deprecated
-// Predict/Absorb/PredictBatch wrappers; new code uses [Result].
-type Prediction = core.Prediction
 
 // GraphStats summarizes the system's bipartite graph.
 type GraphStats = core.GraphStats

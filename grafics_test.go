@@ -38,9 +38,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	correct := 0
 	for i := range test {
-		pred, err := sys.Predict(&test[i])
+		pred, err := sys.Classify(context.Background(), &test[i])
 		if err != nil {
-			t.Fatalf("Predict: %v", err)
+			t.Fatalf("Classify: %v", err)
 		}
 		if pred.Floor == test[i].Floor {
 			correct++
@@ -117,8 +117,8 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, err := loaded.Predict(&test[0]); err != nil {
-		t.Errorf("loaded Predict: %v", err)
+	if _, err := loaded.Classify(context.Background(), &test[0]); err != nil {
+		t.Errorf("loaded Classify: %v", err)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestPublicAPIErrors(t *testing.T) {
 		t.Errorf("Fit error = %v, want ErrNoTraining", err)
 	}
 	rec := grafics.Record{ID: "r", Readings: []grafics.Reading{{MAC: "m", RSS: -50}}}
-	if _, err := sys.Predict(&rec); !errors.Is(err, grafics.ErrNotTrained) {
-		t.Errorf("Predict error = %v, want ErrNotTrained", err)
+	if _, err := sys.Classify(context.Background(), &rec); !errors.Is(err, grafics.ErrNotTrained) {
+		t.Errorf("Classify error = %v, want ErrNotTrained", err)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestWeightModes(t *testing.T) {
 	if err := sys.Fit(); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if _, err := sys.Predict(&test[0]); err != nil {
-		t.Errorf("power-weight Predict: %v", err)
+	if _, err := sys.Classify(context.Background(), &test[0]); err != nil {
+		t.Errorf("power-weight Classify: %v", err)
 	}
 }
 

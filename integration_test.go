@@ -2,6 +2,7 @@ package grafics_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -73,9 +74,9 @@ func TestIntegrationCorpusPipeline(t *testing.T) {
 	}
 	correct := 0
 	for i := range test {
-		pred, err := loaded.Predict(&test[i])
+		pred, err := loaded.Classify(context.Background(), &test[i])
 		if err != nil {
-			t.Fatalf("Predict: %v", err)
+			t.Fatalf("Classify: %v", err)
 		}
 		if math.IsNaN(pred.Distance) || len(pred.Embedding) == 0 {
 			t.Fatal("malformed prediction")

@@ -1,8 +1,8 @@
-// Context-first inference API (v2). Classify is the one entry point for
+// Context-first inference API. Classify is the one entry point for
 // online inference: it carries a context for deadlines/cancellation,
-// accepts functional options, and returns a Result that — unlike the
-// legacy Prediction — exposes a confidence signal and runner-up floors.
-// Predict, PredictBatch, and Absorb remain as thin deprecated wrappers.
+// accepts functional options (WithAbsorb keeps the scan in the graph),
+// and returns a Result with the floor, a confidence signal and runner-up
+// floors. ClassifyBatch fans many scans over a worker pool.
 package core
 
 import (
@@ -142,9 +142,7 @@ type Candidate struct {
 	Confidence float64
 }
 
-// Result is the outcome of one classification. Floor, ClusterIndex,
-// Distance, and Embedding match what the legacy Prediction reported;
-// Confidence and Candidates are new.
+// Result is the outcome of one classification.
 type Result struct {
 	// Floor is the predicted floor label (the top candidate's floor).
 	Floor int
@@ -162,18 +160,6 @@ type Result struct {
 	// Embedding is the scan's learned ego embedding (nil when the
 	// request opted out via WithoutEmbedding).
 	Embedding []float64
-}
-
-// Prediction converts the result to the legacy shape. It exists for the
-// deprecated Predict/Absorb wrappers and for callers migrating
-// incrementally.
-func (r Result) Prediction() Prediction {
-	return Prediction{
-		Floor:        r.Floor,
-		ClusterIndex: r.ClusterIndex,
-		Distance:     r.Distance,
-		Embedding:    r.Embedding,
-	}
 }
 
 // floorIndex is the invariant per-floor view of a trained cluster model:
@@ -267,8 +253,8 @@ func (s *System) resultFromEgo(ego []float64, o options, ws *classifyWorkspace) 
 	}
 	// One pass over the labeled clusters in index order: per-floor
 	// minimum plus the global winner, chosen with strictly-smaller-wins
-	// exactly like cluster.Model.Predict so the deprecated wrappers keep
-	// returning the identical floor, ties included.
+	// exactly like cluster.Model.Predict, so ties resolve to the floor
+	// the cluster model itself would return.
 	winner := -1
 	for _, e := range idx.entries {
 		d := linalg.Distance(ego, s.model.Clusters[e.cluster].Centroid)

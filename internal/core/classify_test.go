@@ -130,30 +130,6 @@ func TestClassifyOptions(t *testing.T) {
 	}
 }
 
-func TestClassifyMatchesPredict(t *testing.T) {
-	s, test := trainedSystem(t)
-	ctx := context.Background()
-	agree := 0
-	for i := range test {
-		res, err := s.Classify(ctx, &test[i], WithSeed(int64(i)))
-		if err != nil {
-			t.Fatalf("Classify: %v", err)
-		}
-		pred, err := s.Predict(&test[i])
-		if err != nil {
-			t.Fatalf("Predict: %v", err)
-		}
-		// Different random seeds can flip borderline scans; the decision
-		// must agree on the overwhelming majority.
-		if res.Floor == pred.Floor {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(len(test)); frac < 0.9 {
-		t.Errorf("Classify and Predict agree on %.0f%% of scans, want >= 90%%", frac*100)
-	}
-}
-
 func TestClassifyContextCancelled(t *testing.T) {
 	s, test := trainedSystem(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ func TestConcurrentPredictAndAbsorb(t *testing.T) {
 	if err := s.Fit(); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
+	ctx := context.Background()
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -30,10 +32,10 @@ func TestConcurrentPredictAndAbsorb(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					_, err = s.Predict(&rec)
+					_, err = s.Classify(ctx, &rec)
 				case 1:
 					rec.ID = rec.ID + "-absorb"
-					_, err = s.Absorb(&rec)
+					_, err = s.Classify(ctx, &rec, WithAbsorb())
 				default:
 					_, err = s.TrainingAssignments()
 					s.Stats()
@@ -51,13 +53,13 @@ func TestConcurrentPredictAndAbsorb(t *testing.T) {
 		t.Errorf("concurrent op: %v", err)
 	}
 	// System still functional afterwards.
-	if _, err := s.Predict(&test[0]); err != nil {
-		t.Errorf("post-stress Predict: %v", err)
+	if _, err := s.Classify(ctx, &test[0]); err != nil {
+		t.Errorf("post-stress Classify: %v", err)
 	}
 }
 
-// TestPredictStressWithWriter floods the system with read-only Predict
-// goroutines while a single writer interleaves Absorbs, then asserts the
+// TestPredictStressWithWriter floods the system with read-only Classify
+// goroutines while a single writer interleaves absorbs, then asserts the
 // graph grew by exactly the absorbed records — i.e. the overlay-based
 // predictions left zero residue. Run under -race this exercises the
 // RLock(readers)/Lock(writer) discipline far harder than the mixed test
@@ -73,6 +75,7 @@ func TestPredictStressWithWriter(t *testing.T) {
 		t.Fatalf("Fit: %v", err)
 	}
 	baseline := s.Stats()
+	ctx := context.Background()
 
 	const (
 		readers         = 8
@@ -90,7 +93,7 @@ func TestPredictStressWithWriter(t *testing.T) {
 		for i := 0; i < absorbs; i++ {
 			rec := test[i]
 			rec.ID = rec.ID + "-absorbed"
-			if _, err := s.Absorb(&rec); err != nil {
+			if _, err := s.Classify(ctx, &rec, WithAbsorb()); err != nil {
 				errs <- err
 				return
 			}
@@ -103,7 +106,7 @@ func TestPredictStressWithWriter(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < predictsPerGoro; i++ {
 				rec := test[(w*predictsPerGoro+i)%len(test)]
-				if _, err := s.Predict(&rec); err != nil {
+				if _, err := s.Classify(ctx, &rec); err != nil {
 					errs <- err
 					return
 				}

@@ -325,20 +325,6 @@ func (s *System) Trained() bool {
 	return s.trained
 }
 
-// Prediction is the legacy outcome of classifying one record, kept for
-// the deprecated Predict/Absorb/PredictBatch wrappers. New code should
-// use Classify and Result, which add confidence and candidate floors.
-type Prediction struct {
-	// Floor is the predicted floor label.
-	Floor int
-	// ClusterIndex identifies the winning cluster.
-	ClusterIndex int
-	// Distance is the embedding-space distance to the winning centroid.
-	Distance float64
-	// Embedding is the record's learned ego embedding.
-	Embedding []float64
-}
-
 // knownMACs counts the record's readings whose MAC already has a node.
 //
 //grafics:rlocked mu
@@ -365,58 +351,6 @@ func (s *System) knownMACsInto(rec *dataset.Record, seen map[string]struct{}) in
 		}
 	}
 	return n
-}
-
-// Predict classifies an online record without modifying the system.
-//
-// Deprecated: Use Classify, which adds context cancellation, a
-// confidence signal, and top-K candidate floors. Predict is
-// Classify(context.Background(), rec) reduced to the legacy Prediction
-// shape; behavior and errors are unchanged.
-//
-//grafics:ctxok deprecated wrapper; callers migrate to Classify
-func (s *System) Predict(rec *dataset.Record) (Prediction, error) {
-	res, err := s.Classify(context.Background(), rec)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return res.Prediction(), nil
-}
-
-// Absorb classifies an online record and keeps it in the bipartite graph.
-//
-// Deprecated: Use Classify with WithAbsorb, which adds context
-// cancellation, a confidence signal, and top-K candidate floors. Absorb
-// is Classify(context.Background(), rec, WithAbsorb()) reduced to the
-// legacy Prediction shape; behavior and errors are unchanged.
-//
-//grafics:ctxok deprecated wrapper; callers migrate to Classify
-func (s *System) Absorb(rec *dataset.Record) (Prediction, error) {
-	res, err := s.Classify(context.Background(), rec, WithAbsorb())
-	if err != nil {
-		return Prediction{}, err
-	}
-	return res.Prediction(), nil
-}
-
-// PredictBatch classifies each record, returning per-record predictions
-// and a parallel slice of errors (nil entries on success).
-//
-// Deprecated: Use ClassifyBatch, which adds cancellation so a batch
-// aborts promptly on timeout or client disconnect. PredictBatch is
-// ClassifyBatch(context.Background(), records) reduced to the legacy
-// Prediction shape; behavior and errors are unchanged.
-//
-//grafics:ctxok deprecated wrapper; callers migrate to ClassifyBatch
-func (s *System) PredictBatch(records []dataset.Record) ([]Prediction, []error) {
-	results, errs := s.ClassifyBatch(context.Background(), records)
-	preds := make([]Prediction, len(records))
-	for i := range results {
-		if errs[i] == nil {
-			preds[i] = results[i].Prediction()
-		}
-	}
-	return preds, errs
 }
 
 // HasMAC reports whether the graph currently holds a node for mac.

@@ -46,8 +46,8 @@ func TestLifecycleErrors(t *testing.T) {
 		t.Errorf("Fit on empty = %v, want ErrNoTraining", err)
 	}
 	rec := dataset.Record{ID: "x", Readings: []dataset.Reading{{MAC: "m", RSS: -50}}}
-	if _, err := s.Predict(&rec); !errors.Is(err, ErrNotTrained) {
-		t.Errorf("Predict untrained = %v, want ErrNotTrained", err)
+	if _, err := s.Classify(context.Background(), &rec); !errors.Is(err, ErrNotTrained) {
+		t.Errorf("Classify untrained = %v, want ErrNotTrained", err)
 	}
 	if _, err := s.TrainingAssignments(); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("TrainingAssignments untrained = %v, want ErrNotTrained", err)
@@ -74,9 +74,9 @@ func TestEndToEndAccuracy(t *testing.T) {
 	}
 	var trueL, predL []int
 	for i := range test {
-		pred, err := s.Predict(&test[i])
+		pred, err := s.Classify(context.Background(), &test[i])
 		if err != nil {
-			t.Fatalf("Predict(%s): %v", test[i].ID, err)
+			t.Fatalf("Classify(%s): %v", test[i].ID, err)
 		}
 		trueL = append(trueL, test[i].Floor)
 		predL = append(predL, pred.Floor)
@@ -101,12 +101,12 @@ func TestPredictLeavesGraphUnchanged(t *testing.T) {
 	}
 	before := s.Stats()
 	for i := range test[:10] {
-		if _, err := s.Predict(&test[i]); err != nil {
-			t.Fatalf("Predict: %v", err)
+		if _, err := s.Classify(context.Background(), &test[i]); err != nil {
+			t.Fatalf("Classify: %v", err)
 		}
 	}
 	if after := s.Stats(); after != before {
-		t.Errorf("Predict mutated graph: %+v -> %+v", before, after)
+		t.Errorf("Classify mutated graph: %+v -> %+v", before, after)
 	}
 }
 
@@ -120,12 +120,12 @@ func TestAbsorbGrowsGraph(t *testing.T) {
 		t.Fatalf("Fit: %v", err)
 	}
 	before := s.Stats()
-	if _, err := s.Absorb(&test[0]); err != nil {
-		t.Fatalf("Absorb: %v", err)
+	if _, err := s.Classify(context.Background(), &test[0], WithAbsorb()); err != nil {
+		t.Fatalf("absorbing Classify: %v", err)
 	}
 	after := s.Stats()
 	if after.Records != before.Records+1 {
-		t.Errorf("Absorb did not grow records: %+v -> %+v", before, after)
+		t.Errorf("absorb did not grow records: %+v -> %+v", before, after)
 	}
 }
 
@@ -142,19 +142,19 @@ func TestOutOfBuilding(t *testing.T) {
 		{MAC: "never-seen-1", RSS: -50},
 		{MAC: "never-seen-2", RSS: -60},
 	}}
-	if _, err := s.Predict(&alien); !errors.Is(err, ErrOutOfBuilding) {
-		t.Errorf("alien Predict = %v, want ErrOutOfBuilding", err)
+	if _, err := s.Classify(context.Background(), &alien); !errors.Is(err, ErrOutOfBuilding) {
+		t.Errorf("alien Classify = %v, want ErrOutOfBuilding", err)
 	}
 	// Degenerate scans report the same identity from both entry points.
 	empty := dataset.Record{ID: "empty"}
-	if _, err := s.Predict(&empty); !errors.Is(err, ErrOutOfBuilding) {
-		t.Errorf("empty Predict = %v, want ErrOutOfBuilding", err)
+	if _, err := s.Classify(context.Background(), &empty); !errors.Is(err, ErrOutOfBuilding) {
+		t.Errorf("empty Classify = %v, want ErrOutOfBuilding", err)
 	}
-	if _, err := s.Absorb(&empty); !errors.Is(err, ErrOutOfBuilding) {
-		t.Errorf("empty Absorb = %v, want ErrOutOfBuilding", err)
+	if _, err := s.Classify(context.Background(), &empty, WithAbsorb()); !errors.Is(err, ErrOutOfBuilding) {
+		t.Errorf("empty absorb = %v, want ErrOutOfBuilding", err)
 	}
-	if _, err := s.Absorb(&alien); !errors.Is(err, ErrOutOfBuilding) {
-		t.Errorf("alien Absorb = %v, want ErrOutOfBuilding", err)
+	if _, err := s.Classify(context.Background(), &alien, WithAbsorb()); !errors.Is(err, ErrOutOfBuilding) {
+		t.Errorf("alien absorb = %v, want ErrOutOfBuilding", err)
 	}
 }
 
@@ -210,13 +210,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Predictions agree (same embeddings, same clusters, same seeds).
 	for i := range test[:5] {
-		a, err := s.Predict(&test[i])
+		a, err := s.Classify(context.Background(), &test[i])
 		if err != nil {
-			t.Fatalf("Predict original: %v", err)
+			t.Fatalf("Classify original: %v", err)
 		}
-		b, err := loaded.Predict(&test[i])
+		b, err := loaded.Classify(context.Background(), &test[i])
 		if err != nil {
-			t.Fatalf("Predict loaded: %v", err)
+			t.Fatalf("Classify loaded: %v", err)
 		}
 		if a.Floor != b.Floor {
 			t.Errorf("record %d: original floor %d, loaded floor %d", i, a.Floor, b.Floor)
@@ -504,7 +504,7 @@ func TestRemoveMAC(t *testing.T) {
 }
 
 // TestPredictErrorContract verifies the error/value contract: any failing
-// Predict returns the zero Prediction and leaves the graph untouched.
+// Classify returns the zero Result and leaves the graph untouched.
 func TestPredictErrorContract(t *testing.T) {
 	train, test := campusSplit(t, 20, 4, 10)
 	cfg := fastConfig()
@@ -518,15 +518,15 @@ func TestPredictErrorContract(t *testing.T) {
 		t.Fatalf("Fit: %v", err)
 	}
 	before := s.Stats()
-	pred, err := s.Predict(&test[0])
+	pred, err := s.Classify(context.Background(), &test[0])
 	if err == nil {
-		t.Fatal("expected embedding-config error from Predict")
+		t.Fatal("expected embedding-config error from Classify")
 	}
 	if pred.Floor != 0 || pred.Embedding != nil || pred.ClusterIndex != 0 || pred.Distance != 0 {
-		t.Errorf("failed Predict returned non-zero Prediction: %+v", pred)
+		t.Errorf("failed Classify returned non-zero Result: %+v", pred)
 	}
 	if after := s.Stats(); after != before {
-		t.Errorf("failed Predict mutated graph: %+v -> %+v", before, after)
+		t.Errorf("failed Classify mutated graph: %+v -> %+v", before, after)
 	}
 }
 
@@ -550,15 +550,15 @@ func TestAbsorbRollbackOnError(t *testing.T) {
 	// Add a never-seen MAC so the rollback must also retire a MAC node.
 	rec.Readings = append(append([]dataset.Reading(nil), rec.Readings...),
 		dataset.Reading{MAC: "brand-new-mac", RSS: -70})
-	pred, err := s.Absorb(&rec)
+	pred, err := s.Classify(context.Background(), &rec, WithAbsorb())
 	if err == nil {
-		t.Fatal("expected embedding-config error from Absorb")
+		t.Fatal("expected embedding-config error from absorb")
 	}
 	if pred.Embedding != nil {
-		t.Errorf("failed Absorb returned non-zero Prediction: %+v", pred)
+		t.Errorf("failed absorb returned non-zero Result: %+v", pred)
 	}
 	if after := s.Stats(); after != before {
-		t.Errorf("failed Absorb leaked graph state: %+v -> %+v", before, after)
+		t.Errorf("failed absorb leaked graph state: %+v -> %+v", before, after)
 	}
 	// A correctly configured system absorbs the same record fine.
 	s2 := New(fastConfig())
@@ -568,13 +568,13 @@ func TestAbsorbRollbackOnError(t *testing.T) {
 	if err := s2.Fit(); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if _, err := s2.Absorb(&rec); err != nil {
-		t.Errorf("Absorb with valid config: %v", err)
+	if _, err := s2.Classify(context.Background(), &rec, WithAbsorb()); err != nil {
+		t.Errorf("absorb with valid config: %v", err)
 	}
 }
 
-// TestPredictDoesNotGrowEmbedding pins the snapshot-overlay property:
-// Predict must not touch the shared embedding tables.
+// TestPredictDoesNotGrowEmbedding pins the snapshot-overlay property: a
+// read-only Classify must not touch the shared embedding tables.
 func TestPredictDoesNotGrowEmbedding(t *testing.T) {
 	train, test := campusSplit(t, 20, 4, 12)
 	s := New(fastConfig())
@@ -586,12 +586,12 @@ func TestPredictDoesNotGrowEmbedding(t *testing.T) {
 	}
 	rows := len(s.emb.Ego)
 	for i := range test[:10] {
-		if _, err := s.Predict(&test[i]); err != nil {
-			t.Fatalf("Predict: %v", err)
+		if _, err := s.Classify(context.Background(), &test[i]); err != nil {
+			t.Fatalf("Classify: %v", err)
 		}
 	}
 	if got := len(s.emb.Ego); got != rows {
-		t.Errorf("Predict grew embedding table %d -> %d rows", rows, got)
+		t.Errorf("Classify grew embedding table %d -> %d rows", rows, got)
 	}
 }
 
@@ -604,7 +604,7 @@ func TestPredictBatch(t *testing.T) {
 	if err := s.Fit(); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	preds, errs := s.PredictBatch(test[:8])
+	preds, errs := s.ClassifyBatch(context.Background(), test[:8])
 	if len(preds) != 8 || len(errs) != 8 {
 		t.Fatalf("batch sizes %d/%d, want 8/8", len(preds), len(errs))
 	}

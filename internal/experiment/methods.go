@@ -5,6 +5,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/baseline"
@@ -53,7 +54,7 @@ func (g Grafics) FitPredict(train, test []dataset.Record, seed int64) ([]int, er
 	}
 	out := make([]int, len(test))
 	for i := range test {
-		pred, err := sys.Predict(&test[i])
+		res, err := sys.Classify(context.Background(), &test[i])
 		if err != nil {
 			// Out-of-building or degenerate scans still need an answer
 			// for scoring; emit an impossible floor so they count as
@@ -61,7 +62,7 @@ func (g Grafics) FitPredict(train, test []dataset.Record, seed int64) ([]int, er
 			out[i] = -1
 			continue
 		}
-		out[i] = pred.Floor
+		out[i] = res.Floor
 	}
 	return out, nil
 }

@@ -141,7 +141,7 @@ func newNode(lifeCtx context.Context, p *portfolio.Portfolio, opts NodeOptions) 
 }
 
 // buildRoleHandler assembles the standard serving surface for a role:
-// the full v1/v2 API over the role's Router, with replication-aware
+// the whole /v2 API over the role's Router, with replication-aware
 // health and stats.
 func (n *Node) buildRoleHandler(role Role, pr *Primary, f *Follower) http.Handler {
 	opts := server.Options{Repl: func() server.ReplInfo { return n.ReplInfo() }}

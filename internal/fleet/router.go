@@ -645,15 +645,25 @@ func (rt *Router) pickPrimary(gi int) (string, bool) {
 	return "", false
 }
 
+// reply is a node's raw answer to a forwarded request.
+type reply struct {
+	status int
+	body   []byte
+	// retryAfter is the node's Retry-After header (a 429 from its
+	// admission gate, a 503 from a degraded journal), relayed so that a
+	// client behind the router backs off as the node asked.
+	retryAfter string
+}
+
 // forward relays body to url+path and returns the raw response.
-func (rt *Router) forward(ctx context.Context, method, url, path string, body []byte) (int, []byte, error) {
+func (rt *Router) forward(ctx context.Context, method, url, path string, body []byte) (reply, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url+path, rd)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -665,21 +675,20 @@ func (rt *Router) forward(ctx context.Context, method, url, path string, body []
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
-	return resp.StatusCode, data, nil
+	return reply{status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}, nil
 }
 
 // scatterOutcome is one group's answer to a classify.
 type scatterOutcome struct {
-	group  int
-	status int
-	body   []byte
+	group int
+	reply
 	parsed *server.ClassifyResponse // a scattered 200's reply, for its overlap
 	err    error
 }
@@ -725,9 +734,9 @@ func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOut
 		if attempt > 0 {
 			retriesTotal.With("read").Inc()
 		}
-		status, data, err := rt.forward(ctx, http.MethodPost, url, "/v2/classify", body)
+		rep, err := rt.forward(ctx, http.MethodPost, url, "/v2/classify", body)
 		if ctx.Err() == nil {
-			rt.noteOutcome(url, err == nil && status < http.StatusInternalServerError)
+			rt.noteOutcome(url, err == nil && rep.status < http.StatusInternalServerError)
 		}
 		if err != nil {
 			o.err = err
@@ -736,8 +745,8 @@ func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOut
 			}
 			continue
 		}
-		o.status, o.body, o.err = status, data, nil
-		if status >= http.StatusInternalServerError {
+		o.reply, o.err = rep, nil
+		if rep.status >= http.StatusInternalServerError {
 			// The replica answered but can't serve; another may.
 			continue
 		}
@@ -829,14 +838,14 @@ func (rt *Router) routeClassify(ctx context.Context, w http.ResponseWriter, req 
 		writeOutcome(w, &o)
 		return
 	}
-	status, data, err := rt.forwardWrite(ctx, gi, path, body)
+	rep, err := rt.forwardWrite(ctx, gi, path, body)
 	spanDone()
 	if err != nil {
 		writeJSONError(w, http.StatusBadGateway, fmt.Errorf("fleet: forward absorb: %w", err))
 		return
 	}
 	forwardedWritesTotal.Inc()
-	relay(w, status, data)
+	relay(w, rep)
 }
 
 // forwardWrite relays a write to group gi's primary, retrying with
@@ -848,10 +857,9 @@ func (rt *Router) routeClassify(ctx context.Context, w http.ResponseWriter, req 
 // (including a success or a 4xx) returns immediately: only statuses
 // that guarantee the write was not applied are retried, keeping the
 // at-least-once window as small as a lost response.
-func (rt *Router) forwardWrite(ctx context.Context, gi int, path string, body []byte) (int, []byte, error) {
+func (rt *Router) forwardWrite(ctx context.Context, gi int, path string, body []byte) (reply, error) {
 	var (
-		status  int
-		data    []byte
+		rep     reply
 		lastErr error
 	)
 	for attempt := 0; attempt <= rt.opts.RetryBudget; attempt++ {
@@ -867,9 +875,9 @@ func (rt *Router) forwardWrite(ctx context.Context, gi int, path string, body []
 			continue
 		}
 		var err error
-		status, data, err = rt.forward(ctx, http.MethodPost, primary, path, body)
+		rep, err = rt.forward(ctx, http.MethodPost, primary, path, body)
 		if ctx.Err() == nil {
-			rt.noteOutcome(primary, err == nil && status < http.StatusInternalServerError)
+			rt.noteOutcome(primary, err == nil && rep.status < http.StatusInternalServerError)
 		}
 		if err != nil {
 			lastErr = err
@@ -878,17 +886,17 @@ func (rt *Router) forwardWrite(ctx context.Context, gi int, path string, body []
 			}
 			continue
 		}
-		if !retryableWriteStatus(status) {
-			return status, data, nil
+		if !retryableWriteStatus(rep.status) {
+			return rep, nil
 		}
-		lastErr = fmt.Errorf("fleet: %s answered %d", primary, status)
+		lastErr = fmt.Errorf("fleet: %s answered %d", primary, rep.status)
 	}
-	if status != 0 {
+	if rep.status != 0 {
 		// Out of budget with a definitive (retryable) status: relay it so
 		// the client sees the upstream's own Retry-After semantics.
-		return status, data, nil
+		return rep, nil
 	}
-	return 0, nil, lastErr
+	return reply{}, lastErr
 }
 
 // retryableWriteStatus reports whether a forwarded write's response
@@ -929,14 +937,14 @@ func writeOutcome(w http.ResponseWriter, o *scatterOutcome) {
 	case o.err != nil:
 		writeJSONError(w, http.StatusBadGateway, o.err)
 	default:
-		relay(w, o.status, o.body)
+		relay(w, o.reply)
 	}
 }
 
 // handleClassifyBatch serves POST /v2/classify/batch: scans decode at
-// the router (JSON array or NDJSON), each routes independently with
-// bounded parallelism, and results stream back as NDJSON in request
-// order.
+// the router with the node's own decoder (server.DecodeBatch), each
+// routes independently with bounded parallelism, and results stream back
+// as NDJSON in request order.
 func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	absorbParam := r.URL.Query().Get("absorb")
 	absorb := false
@@ -957,16 +965,12 @@ func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		topK = v
 	}
-	reqs, err := decodeBatch(http.MaxBytesReader(w, r.Body, 32<<20))
+	recs, status, err := server.DecodeBatch(w, r)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		writeJSONError(w, status, err)
 		return
 	}
-	if len(reqs) == 0 {
-		writeJSONError(w, http.StatusBadRequest, errors.New("batch has no scans"))
-		return
-	}
-	if len(reqs) > routerMaxBatch {
+	if len(recs) > routerMaxBatch {
 		writeJSONError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("fleet: batch exceeds %d scans", routerMaxBatch))
 		return
@@ -976,11 +980,9 @@ func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		status int
 		body   []byte
 	}
-	results := make([]lineResult, len(reqs))
-	_ = par.ForEachCtxBounded(ctx, len(reqs), routerBatchWorkers, func(i int) {
-		req := reqs[i]
-		req.Absorb = req.Absorb || absorb
-		req.TopK = topK
+	results := make([]lineResult, len(recs))
+	_ = par.ForEachCtxBounded(ctx, len(recs), routerBatchWorkers, func(i int) {
+		req := server.ClassifyRequest{ID: recs[i].ID, Readings: recs[i].Readings, TopK: topK, Absorb: absorb}
 		body, _ := json.Marshal(&req)
 		rec := &routeRecorder{}
 		rt.routeClassify(ctx, rec, &req, "/v2/classify", body)
@@ -990,7 +992,7 @@ func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	for i, res := range results {
-		item := server.StreamItem{ID: reqs[i].ID}
+		item := server.StreamItem{ID: recs[i].ID}
 		if res.status == http.StatusOK {
 			var cr server.ClassifyResponse
 			if err := json.Unmarshal(res.body, &cr); err == nil {
@@ -1033,37 +1035,6 @@ func (rr *routeRecorder) Write(p []byte) (int, error) {
 	return rr.body.Write(p)
 }
 
-// decodeBatch reads a batch body as a JSON array or NDJSON stream of
-// classify requests.
-func decodeBatch(r io.Reader) ([]server.ClassifyRequest, error) {
-	br := bytes.NewBuffer(nil)
-	if _, err := io.Copy(br, r); err != nil {
-		return nil, fmt.Errorf("read batch: %w", err)
-	}
-	data := bytes.TrimSpace(br.Bytes())
-	if len(data) == 0 {
-		return nil, errors.New("batch has no scans")
-	}
-	var reqs []server.ClassifyRequest
-	if data[0] == '[' {
-		if err := json.Unmarshal(data, &reqs); err != nil {
-			return nil, fmt.Errorf("decode batch: %w", err)
-		}
-		return reqs, nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for {
-		var req server.ClassifyRequest
-		if err := dec.Decode(&req); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decode batch: %w", err)
-		}
-		reqs = append(reqs, req)
-	}
-	return reqs, nil
-}
-
 // handleRemoveMAC broadcasts a MAC retirement to every group's primary
 // and sums the touched-building counts. The MAC arrives unescaped, so it
 // is escaped again for the hop: "aa%3Fbb" must not reach a node as
@@ -1079,23 +1050,23 @@ func (rt *Router) handleRemoveMAC(w http.ResponseWriter, r *http.Request) {
 			lastErr = fmt.Errorf("fleet: group %d has no primary", gi)
 			continue
 		}
-		status, data, err := rt.forward(r.Context(), http.MethodDelete, primary, "/v2/macs/"+url.PathEscape(mac), nil)
+		rep, err := rt.forward(r.Context(), http.MethodDelete, primary, "/v2/macs/"+url.PathEscape(mac), nil)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		switch status {
+		switch rep.status {
 		case http.StatusOK:
 			var body struct {
 				Buildings int `json:"buildings"`
 			}
-			if err := json.Unmarshal(data, &body); err == nil {
+			if err := json.Unmarshal(rep.body, &body); err == nil {
 				total += body.Buildings
 			}
 			found = true
 		case http.StatusNotFound:
 		default:
-			lastErr = fmt.Errorf("fleet: retire on %s: %s", primary, errorMessage(data, status))
+			lastErr = fmt.Errorf("fleet: retire on %s: %s", primary, errorMessage(rep.body, rep.status))
 		}
 	}
 	switch {
@@ -1118,12 +1089,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		_, data, err := rt.forward(r.Context(), http.MethodGet, url, "/v2/stats", nil)
+		rep, err := rt.forward(r.Context(), http.MethodGet, url, "/v2/stats", nil)
 		if err != nil {
 			continue
 		}
 		var st server.StatsResponse
-		if err := json.Unmarshal(data, &st); err != nil {
+		if err := json.Unmarshal(rep.body, &st); err != nil {
 			continue
 		}
 		agg.Buildings += st.Buildings
@@ -1240,10 +1211,13 @@ func (rt *Router) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // relay copies a node's raw response through.
-func relay(w http.ResponseWriter, status int, body []byte) {
+func relay(w http.ResponseWriter, rep reply) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
+	if rep.retryAfter != "" {
+		w.Header().Set("Retry-After", rep.retryAfter)
+	}
+	w.WriteHeader(rep.status)
+	w.Write(rep.body)
 }
 
 // errorMessage extracts a node's {"error": ...} body, falling back to
@@ -1260,5 +1234,5 @@ func errorMessage(body []byte, status int) string {
 
 func writeJSONError(w http.ResponseWriter, status int, err error) {
 	data, _ := json.Marshal(map[string]string{"error": err.Error()})
-	relay(w, status, data)
+	relay(w, reply{status: status, body: data})
 }

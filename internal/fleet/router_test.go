@@ -15,8 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/lifecycle"
+	"repro/internal/portfolio"
 	"repro/internal/server"
 	"repro/internal/simulate"
 )
@@ -441,9 +443,9 @@ func TestRouterReusesNodeConnections(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				status, _, err := rt.forward(context.Background(), http.MethodPost, node.URL, "/v2/classify", []byte("{}"))
-				if err != nil || status != http.StatusOK {
-					t.Errorf("forward: status %d, err %v", status, err)
+				rep, err := rt.forward(context.Background(), http.MethodPost, node.URL, "/v2/classify", []byte("{}"))
+				if err != nil || rep.status != http.StatusOK {
+					t.Errorf("forward: status %d, err %v", rep.status, err)
 				}
 			}()
 		}
@@ -566,5 +568,81 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	uResp.Body.Close()
 	if status, _ := postClassify(t, f.srv.URL, "/v2/classify", &f.pools[0][3], false); status != http.StatusOK {
 		t.Fatalf("classify after undo drain: status %d", status)
+	}
+}
+
+// TestRouterRelaysRetryAfter: a node's Retry-After (a 429 from its
+// admission gate, a 503 from a degraded journal) reaches the client
+// behind the router on both the read and the write path, so the client
+// backs off as the node asked.
+func TestRouterRelaysRetryAfter(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v2/repl/status" {
+			json.NewEncoder(w).Encode(ReplStatus{ReplInfo: server.ReplInfo{Role: string(RolePrimary), Ready: true}})
+			return
+		}
+		w.Header().Set("Retry-After", "7")
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(`{"error":"shed"}`))
+	}))
+	defer node.Close()
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{node.URL}}, RetryBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt.Start(ctx)
+	defer rt.Stop()
+	srv := httptest.NewServer(rt)
+	defer srv.Close()
+	scan := `{"id":"s","readings":[{"mac":"aa:bb:cc:dd:ee:01","rss":-60}]}`
+	for _, path := range []string{"/v2/classify", "/v2/absorb"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(scan))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get("Retry-After"); resp.StatusCode != http.StatusTooManyRequests || got != "7" {
+			t.Errorf("POST %s: status %d, Retry-After %q; want 429 with the node's Retry-After 7", path, resp.StatusCode, got)
+		}
+	}
+}
+
+// TestRouterBatchRejectsWhatANodeRejects: the router decodes a batch with
+// the node's decoder, so a batch a node refuses is refused at the router
+// with the same status rather than routed scan by scan.
+func TestRouterBatchRejectsWhatANodeRejects(t *testing.T) {
+	p := portfolio.New(core.Config{})
+	node := httptest.NewServer(server.NewHandler(p, p, server.Options{}))
+	defer node.Close()
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	router := httptest.NewServer(rt)
+	defer router.Close()
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"per-scan top_k", `{"id":"x","top_k":3,"readings":[{"mac":"aa:bb:cc:dd:ee:01","rss":-60}]}`, http.StatusBadRequest},
+		{"unknown field", `{"id":"x","bogus":1,"readings":[{"mac":"aa:bb:cc:dd:ee:01","rss":-60}]}`, http.StatusBadRequest},
+		{"oversized body", `{"id":"` + strings.Repeat("A", 33<<20) + `"`, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, target := range []struct{ name, url string }{{"node", node.URL}, {"router", router.URL}} {
+				resp, err := http.Post(target.url+"/v2/classify/batch", "application/x-ndjson", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatalf("POST to the %s: %v", target.name, err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != tc.want {
+					t.Errorf("%s: status %d, want %d", target.name, resp.StatusCode, tc.want)
+				}
+			}
+		})
 	}
 }

@@ -32,22 +32,11 @@ var (
 	ErrUnknownMAC      = errors.New("portfolio: no building knows that MAC")
 )
 
-// reservedNames are building names that collide with literal HTTP route
-// segments: a building called "batch" would be shadowed by the
-// /v1/predict/batch route and therefore unreachable via
-// /v1/predict/{building}. Registration rejects them outright.
-var reservedNames = map[string]struct{}{
-	"batch": {},
-}
-
-// validateName rejects names the HTTP surface cannot address: reserved
-// literal route segments, the empty name, and names containing a path
-// separator (a "/" cannot appear inside one route segment). Anything
-// else — spaces included — reaches the routes percent-encoded.
+// validateName rejects names the HTTP surface cannot address as one
+// route segment: the empty name, "." and "..", and names containing a
+// path separator. Anything else — spaces included — reaches the routes
+// percent-encoded.
 func validateName(name string) error {
-	if _, bad := reservedNames[name]; bad {
-		return fmt.Errorf("%w: %q collides with a literal route", ErrReservedName, name)
-	}
 	// "." and ".." are path-cleaned away by the mux before routing, so a
 	// building by either name could never be reached.
 	if name == "" || name == "." || name == ".." || strings.Contains(name, "/") {
@@ -100,8 +89,8 @@ func New(cfg core.Config) *Portfolio {
 
 // AddBuilding registers a building's training records (already labeled per
 // the usual budget) and trains its System. Names that cannot be addressed
-// by the HTTP surface (reserved literals like "batch", the empty name, or
-// names containing a path separator) are rejected with ErrReservedName.
+// as a route segment (the empty name, "." and "..", or names containing a
+// path separator) are rejected with ErrReservedName.
 // It is AddBuildingCtx with a background context.
 //
 //grafics:ctxok compatibility wrapper; callers migrate to AddBuildingCtx
@@ -477,50 +466,4 @@ func (p *Portfolio) Stats() []BuildingStats {
 		out[i] = BuildingStats{Building: name, GraphStats: systems[i].Stats()}
 	}
 	return out
-}
-
-// Prediction is the legacy building-plus-floor classification, kept for
-// the deprecated Predict/PredictBatch wrappers.
-type Prediction struct {
-	Building string
-	Match    Match
-	Floor    core.Prediction
-}
-
-// Predict attributes the scan to a building and classifies its floor.
-//
-// Deprecated: Use Classify (or ClassifyRouted to keep the attribution),
-// which adds context cancellation, confidence, and top-K candidates.
-// Behavior and errors are unchanged.
-//
-//grafics:ctxok deprecated wrapper; callers migrate to Classify
-func (p *Portfolio) Predict(rec *dataset.Record) (Prediction, error) {
-	routed, err := p.ClassifyRouted(context.Background(), rec)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return routed.legacy(), nil
-}
-
-// legacy converts a Routed to the deprecated Prediction shape.
-func (r Routed) legacy() Prediction {
-	return Prediction{Building: r.Building, Match: r.Match, Floor: r.Result.Prediction()}
-}
-
-// PredictBatch attributes and classifies many scans concurrently.
-//
-// Deprecated: Use ClassifyBatch (or ClassifyRoutedBatch), which adds
-// cancellation so a batch aborts promptly on timeout or client
-// disconnect. Behavior and errors are unchanged.
-//
-//grafics:ctxok deprecated wrapper; callers migrate to ClassifyBatch
-func (p *Portfolio) PredictBatch(records []dataset.Record) ([]Prediction, []error) {
-	routed, errs := p.ClassifyRoutedBatch(context.Background(), records)
-	preds := make([]Prediction, len(records))
-	for i := range routed {
-		if errs[i] == nil {
-			preds[i] = routed[i].legacy()
-		}
-	}
-	return preds, errs
 }

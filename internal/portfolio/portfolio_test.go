@@ -69,22 +69,19 @@ func TestDuplicateBuilding(t *testing.T) {
 	}
 }
 
-// TestReservedBuildingNames is the regression test for the route-collision
-// bug: a building literally named "batch" is unreachable through
-// POST /v1/predict/{building} because the literal /v1/predict/batch route
-// shadows it, so registration must refuse such names (and other names the
-// HTTP surface cannot address).
+// TestReservedBuildingNames: registration refuses names the HTTP surface
+// cannot address as one route segment.
 func TestReservedBuildingNames(t *testing.T) {
 	p := New(core.Config{})
-	for _, name := range []string{"batch", "", "a/b", ".", ".."} {
+	for _, name := range []string{"", "a/b", ".", ".."} {
 		if err := p.AddBuilding(name, nil); !errors.Is(err, ErrReservedName) {
 			t.Errorf("AddBuilding(%q) = %v, want ErrReservedName", name, err)
 		}
 	}
 	// Names that percent-encode into a route segment stay legal — real
-	// corpora contain spaces ("North Tower"); only the literal-route
-	// collision and un-encodable names are rejected.
-	for _, name := range []string{"North Tower", "tab\tname", "ünïcode"} {
+	// corpora contain spaces ("North Tower"); only un-encodable names are
+	// rejected. Route-like words such as "batch" are ordinary names.
+	for _, name := range []string{"North Tower", "tab\tname", "ünïcode", "batch"} {
 		if err := p.AddBuilding(name, nil); errors.Is(err, ErrReservedName) {
 			t.Errorf("AddBuilding(%q) rejected as reserved; only validation, not training, should fail", name)
 		}
@@ -158,18 +155,19 @@ func TestMinOverlapThreshold(t *testing.T) {
 
 func TestEndToEndPredict(t *testing.T) {
 	p, tests := fleet(t, 3, 5)
+	ctx := context.Background()
 	correctFloor, total := 0, 0
 	for name, pool := range tests {
 		for i := range pool[:10] {
-			pred, err := p.Predict(&pool[i])
+			routed, err := p.ClassifyRouted(ctx, &pool[i])
 			if err != nil {
-				t.Fatalf("Predict: %v", err)
+				t.Fatalf("ClassifyRouted: %v", err)
 			}
-			if pred.Building != name {
-				t.Errorf("routed to %q, want %q", pred.Building, name)
+			if routed.Building != name {
+				t.Errorf("routed to %q, want %q", routed.Building, name)
 			}
 			total++
-			if pred.Floor.Floor == pool[i].Floor {
+			if routed.Result.Floor == pool[i].Floor {
 				correctFloor++
 			}
 		}
@@ -185,6 +183,7 @@ func TestConcurrentPredict(t *testing.T) {
 	for _, recs := range tests {
 		pool = append(pool, recs...)
 	}
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -192,7 +191,7 @@ func TestConcurrentPredict(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(pool); i += 8 {
-				if _, err := p.Predict(&pool[i]); err != nil {
+				if _, err := p.Classify(ctx, &pool[i]); err != nil {
 					errs <- err
 					return
 				}
@@ -220,9 +219,10 @@ func TestPredictBatchPortfolio(t *testing.T) {
 	recs = append(recs, dataset.Record{ID: "alien", Readings: []dataset.Reading{
 		{MAC: "no-such-ap", RSS: -40},
 	}})
-	preds, errs := p.PredictBatch(recs)
-	if len(preds) != len(recs) || len(errs) != len(recs) {
-		t.Fatalf("batch sizes %d/%d, want %d", len(preds), len(errs), len(recs))
+	ctx := context.Background()
+	routed, errs := p.ClassifyRoutedBatch(ctx, recs)
+	if len(routed) != len(recs) || len(errs) != len(recs) {
+		t.Fatalf("batch sizes %d/%d, want %d", len(routed), len(errs), len(recs))
 	}
 	for i := range recs {
 		if building, ok := want[recs[i].ID]; ok {
@@ -230,23 +230,23 @@ func TestPredictBatchPortfolio(t *testing.T) {
 				t.Errorf("scan %q: %v", recs[i].ID, errs[i])
 				continue
 			}
-			if preds[i].Building != building {
-				t.Errorf("scan %q routed to %q, want %q", recs[i].ID, preds[i].Building, building)
+			if routed[i].Building != building {
+				t.Errorf("scan %q routed to %q, want %q", recs[i].ID, routed[i].Building, building)
 			}
 		} else if !errors.Is(errs[i], ErrUnattributable) {
 			t.Errorf("alien scan error = %v, want ErrUnattributable", errs[i])
 		}
 	}
-	// Batch agrees with sequential Predict (same deterministic pipeline is
-	// not guaranteed per-call because prediction seeds advance globally,
-	// but routing and success/failure must match).
+	// Batch agrees with sequential ClassifyRouted (same deterministic
+	// pipeline is not guaranteed per-call because prediction seeds advance
+	// globally, but routing and success/failure must match).
 	for i := range recs[:3] {
-		pred, err := p.Predict(&recs[i])
+		one, err := p.ClassifyRouted(ctx, &recs[i])
 		if err != nil {
-			t.Fatalf("sequential Predict: %v", err)
+			t.Fatalf("sequential ClassifyRouted: %v", err)
 		}
-		if pred.Building != preds[i].Building {
-			t.Errorf("scan %q: batch building %q vs sequential %q", recs[i].ID, preds[i].Building, pred.Building)
+		if one.Building != routed[i].Building {
+			t.Errorf("scan %q: batch building %q vs sequential %q", recs[i].ID, routed[i].Building, one.Building)
 		}
 	}
 }
@@ -604,7 +604,7 @@ func TestAddBuildingsValidatesBeforeFitting(t *testing.T) {
 	if err := p.AddBuildings(context.Background(), cs[:1], 1); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("existing-name duplicate = %v, want ErrDuplicateName", err)
 	}
-	if err := p.AddBuildings(context.Background(), []BuildingCorpus{{Name: "batch"}}, 1); !errors.Is(err, ErrReservedName) {
+	if err := p.AddBuildings(context.Background(), []BuildingCorpus{{Name: "a/b"}}, 1); !errors.Is(err, ErrReservedName) {
 		t.Errorf("reserved name = %v, want ErrReservedName", err)
 	}
 }

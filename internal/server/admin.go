@@ -1,6 +1,6 @@
 // The /v2/admin surface: operator controls for the durable model
 // lifecycle. These routes exist only when the handler was built with
-// HandlerWithLifecycle; a plain in-memory deployment has nothing to
+// Options.Lifecycle set; a plain in-memory deployment has nothing to
 // administer and answers 404.
 package server
 

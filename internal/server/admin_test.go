@@ -52,7 +52,7 @@ func managedServer(t *testing.T, pol lifecycle.Policy) (*httptest.Server, *lifec
 		}
 		tests[b.Name] = test
 	}
-	srv := httptest.NewServer(HandlerWithLifecycle(m))
+	srv := httptest.NewServer(NewHandler(m.Portfolio(), m, Options{Lifecycle: m}))
 	t.Cleanup(srv.Close)
 	return srv, m, dir, tests
 }

@@ -2,18 +2,11 @@
 // deployment behind the smart-city applications the paper motivates
 // (navigation, geofencing, robot rescue).
 //
-// The v1 surface is read-only and kept for compatibility:
+// The surface is built on the context-first Classify API and reports
+// confidence and top-K candidate floors, takes writes, and streams
+// batches (see v2.go):
 //
-//	GET  /v1/healthz              readiness probe (503 until a building is trained)
-//	GET  /v1/buildings            registered building names
-//	POST /v1/predict              classify one scan (JSON Record body)
-//	POST /v1/predict/batch        classify many scans (JSON array body)
-//	POST /v1/predict/{building}   classify within a known building
-//
-// The v2 surface is built on the context-first Classify API and adds
-// confidence, top-K candidates, writes, and streaming (see v2.go):
-//
-//	GET    /v2/healthz            readiness probe
+//	GET    /v2/healthz            readiness probe (503 until a building is trained)
 //	POST   /v2/classify           classify one scan (options in body)
 //	POST   /v2/classify/batch     classify many scans, NDJSON streaming reply
 //	POST   /v2/absorb             classify and keep the scan in the graph
@@ -28,9 +21,9 @@
 // latency/status/in-flight metrics feed /v2/metrics, and a debug-level
 // slog line records each request with its span timings.
 //
-// With a lifecycle manager attached (HandlerWithLifecycle), absorbs are
-// journaled to the write-ahead log before the response is sent, and the
-// admin surface is mounted (see admin.go):
+// With a lifecycle manager attached (Options.Lifecycle, with the manager
+// as the Router), absorbs are journaled to the write-ahead log before the
+// response is sent, and the admin surface is mounted (see admin.go):
 //
 //	POST /v2/admin/snapshot       capture the fleet under the state dir, truncate the WAL
 //	POST /v2/admin/refit          force a background refit (?building=, default all)
@@ -46,7 +39,7 @@
 // snapshot-overlay inference takes only a shared read lock, so the
 // net/http goroutine-per-request model gives near-linear scaling with
 // cores out of the box — no serialization on a model mutex. The batch
-// routes additionally fan one request's scans out over a worker pool
+// route additionally fans one request's scans out over a worker pool
 // (portfolio.ClassifyRoutedBatch), which keeps a single bulk client
 // saturating the machine without having to pipeline its own HTTP
 // requests. Request contexts propagate into the classification layer, so
@@ -57,7 +50,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -84,31 +76,6 @@ var (
 	_ Router = (*portfolio.Portfolio)(nil)
 	_ Router = (*lifecycle.Manager)(nil)
 )
-
-// PredictResponse is the JSON reply to a predict call.
-type PredictResponse struct {
-	ID       string  `json:"id"`
-	Building string  `json:"building"`
-	Floor    int     `json:"floor"`
-	Distance float64 `json:"distance"`
-	Overlap  float64 `json:"overlap,omitempty"`
-}
-
-// BatchItemResponse is one entry of a batch reply: either a prediction or
-// a per-scan error (never both). The prediction is nested rather than
-// flattened so a legitimate zero value (floor 0) is never dropped by
-// omitempty.
-type BatchItemResponse struct {
-	ID     string           `json:"id"`
-	Result *PredictResponse `json:"result,omitempty"`
-	Error  string           `json:"error,omitempty"`
-}
-
-// BatchResponse is the JSON reply to a batch predict call. Per-scan
-// failures appear inline so one bad scan never fails the whole batch.
-type BatchResponse struct {
-	Results []BatchItemResponse `json:"results"`
-}
 
 // errorResponse is the JSON error shape.
 type errorResponse struct {
@@ -199,114 +166,15 @@ type Options struct {
 	AbsorbQueueWait time.Duration
 }
 
-// Handler builds the HTTP handler (v1 and v2 surfaces) over a trained
-// portfolio. Absorbs taken through this handler live only in process
-// memory; use HandlerWithLifecycle for the durable deployment.
-func Handler(p *portfolio.Portfolio) http.Handler {
-	return NewHandler(p, p, Options{})
-}
-
-// HandlerWithLifecycle builds the HTTP handler over a lifecycle-managed
-// portfolio: absorbs are journaled to the manager's WAL, refit policy
-// counters advance, and the /v2/admin routes (snapshot, refit,
-// lifecycle status) are mounted.
-func HandlerWithLifecycle(m *lifecycle.Manager) http.Handler {
-	return NewHandler(m.Portfolio(), m, Options{Lifecycle: m})
-}
-
-// NewHandler builds the HTTP handler with explicit wiring: p serves the
-// registration-level reads, rt the classifications (absorbs included),
-// and opts attaches the lifecycle admin surface and replication
-// reporting. The fleet node roles (primary, follower) use this
-// constructor to interpose their own Router while keeping the whole v1
-// and v2 surface.
+// NewHandler builds the HTTP handler: p serves the registration-level
+// reads, rt the classifications (absorbs included), and opts attaches the
+// lifecycle admin surface, replication reporting and write admission. An
+// in-memory deployment passes its portfolio as both p and rt; a durable
+// one passes its lifecycle manager as rt and as Options.Lifecycle, so
+// every absorb is journaled; the fleet node roles interpose their own
+// Router.
 func NewHandler(p *portfolio.Portfolio, rt Router, opts Options) http.Handler {
-	return buildHandler(p, rt, opts)
-}
-
-// buildHandler mounts every route over the portfolio (registration-level
-// reads) and the router (classification, absorbs).
-func buildHandler(p *portfolio.Portfolio, rt Router, opts Options) http.Handler {
 	mux := http.NewServeMux()
-	handle(mux, "GET /v1/healthz", healthz(p, opts.Repl))
-	handle(mux, "GET /v1/buildings", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, p.Buildings())
-	})
-	handle(mux, "POST /v1/predict", func(w http.ResponseWriter, r *http.Request) {
-		rec, ok := decodeScan(w, r)
-		if !ok {
-			return
-		}
-		routed, err := rt.ClassifyRouted(r.Context(), rec)
-		if err != nil {
-			writeError(w, predictStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, toPredictResponse(rec.ID, &routed))
-	})
-	handle(mux, "POST /v1/predict/batch", func(w http.ResponseWriter, r *http.Request) {
-		var recs []dataset.Record
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&recs); err != nil {
-			status := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, status, fmt.Errorf("decode batch: %w", err))
-			return
-		}
-		if len(recs) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("batch has no scans"))
-			return
-		}
-		if len(recs) > maxBatchScans {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch has %d scans, limit %d", len(recs), maxBatchScans))
-			return
-		}
-		routed, errs := rt.ClassifyRoutedBatch(r.Context(), recs)
-		// A batch cut short by the request deadline (or a vanished
-		// client) is a failure, not a 200 full of error strings — match
-		// the single-scan route's status mapping.
-		if err := r.Context().Err(); err != nil {
-			writeError(w, predictStatus(err), err)
-			return
-		}
-		items := make([]BatchItemResponse, len(recs))
-		for i := range recs {
-			items[i].ID = recs[i].ID
-			if errs[i] != nil {
-				items[i].Error = errs[i].Error()
-				continue
-			}
-			resp := toPredictResponse(recs[i].ID, &routed[i])
-			items[i].Result = &resp
-		}
-		writeJSON(w, http.StatusOK, BatchResponse{Results: items})
-	})
-	handle(mux, "POST /v1/predict/{building}", func(w http.ResponseWriter, r *http.Request) {
-		rec, ok := decodeScan(w, r)
-		if !ok {
-			return
-		}
-		name := r.PathValue("building")
-		sys, err := p.System(name)
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		res, err := sys.Classify(r.Context(), rec)
-		if err != nil {
-			writeError(w, predictStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, toPredictResponse(rec.ID, &portfolio.Routed{
-			Building: name,
-			Result:   res,
-		}))
-	})
 	registerV2(mux, p, rt, opts)
 	registerObs(mux)
 	if opts.Lifecycle != nil {
@@ -345,36 +213,6 @@ func healthz(p *portfolio.Portfolio, repl func() ReplInfo) http.HandlerFunc {
 		body["status"] = state
 		writeJSON(w, status, body)
 	}
-}
-
-// toPredictResponse maps one routed classification onto the v1 wire
-// shape. All three predict routes go through here so the field mapping
-// cannot drift between them.
-func toPredictResponse(id string, routed *portfolio.Routed) PredictResponse {
-	return PredictResponse{
-		ID:       id,
-		Building: routed.Building,
-		Floor:    routed.Result.Floor,
-		Distance: routed.Result.Distance,
-		Overlap:  routed.Match.Overlap,
-	}
-}
-
-// decodeScan parses the request body into a Record, writing an HTTP error
-// and returning ok=false on failure.
-func decodeScan(w http.ResponseWriter, r *http.Request) (*dataset.Record, bool) {
-	var rec dataset.Record
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode scan: %w", err))
-		return nil, false
-	}
-	if len(rec.Readings) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("scan has no readings"))
-		return nil, false
-	}
-	return &rec, true
 }
 
 // statusClientClosedRequest is nginx's non-standard code for a request

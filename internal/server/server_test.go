@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -52,7 +51,7 @@ func testPortfolio(t *testing.T) (*portfolio.Portfolio, map[string][]dataset.Rec
 func testServer(t *testing.T) (*httptest.Server, map[string][]dataset.Record) {
 	t.Helper()
 	p, tests := testPortfolio(t)
-	srv := httptest.NewServer(Handler(p))
+	srv := httptest.NewServer(NewHandler(p, p, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, tests
 }
@@ -73,42 +72,39 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 
 func TestHealthz(t *testing.T) {
 	srv, _ := testServer(t)
-	for _, path := range []string{"/v1/healthz", "/v2/healthz"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET: %v", err)
-		}
-		var body struct {
-			Status    string `json:"status"`
-			Buildings int    `json:"buildings"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
-		}
-		if body.Status != "ok" || body.Buildings != 2 {
-			t.Errorf("%s body = %+v, want ok with 2 buildings", path, body)
-		}
+	resp, err := http.Get(srv.URL + "/v2/healthz")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Status    string `json:"status"`
+		Buildings int    `json:"buildings"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status = %d, want 200", resp.StatusCode)
+	}
+	if body.Status != "ok" || body.Buildings != 2 {
+		t.Errorf("body = %+v, want ok with 2 buildings", body)
 	}
 }
 
 // TestHealthzNotReady: a portfolio with no trained buildings must answer
 // 503 so load balancers don't route scans to cold instances.
 func TestHealthzNotReady(t *testing.T) {
-	srv := httptest.NewServer(Handler(portfolio.New(core.Config{})))
+	p := portfolio.New(core.Config{})
+	srv := httptest.NewServer(NewHandler(p, p, Options{}))
 	defer srv.Close()
-	for _, path := range []string{"/v1/healthz", "/v2/healthz"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("%s status = %d, want 503", path, resp.StatusCode)
-		}
+	resp, err := http.Get(srv.URL + "/v2/healthz")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want 503", resp.StatusCode)
 	}
 }
 
@@ -189,7 +185,7 @@ func TestHealthzReplication(t *testing.T) {
 
 	// Without Options.Repl the report is absent entirely — the standalone
 	// daemon's wire shape is unchanged.
-	srv := httptest.NewServer(Handler(p))
+	srv := httptest.NewServer(NewHandler(p, p, Options{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v2/healthz")
 	if err != nil {
@@ -205,147 +201,25 @@ func TestHealthzReplication(t *testing.T) {
 	}
 }
 
+// TestBuildings: /v2/stats lists every trained building by name.
 func TestBuildings(t *testing.T) {
 	srv, tests := testServer(t)
-	resp, err := http.Get(srv.URL + "/v1/buildings")
+	resp, err := http.Get(srv.URL + "/v2/stats")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
 	defer resp.Body.Close()
-	var names []string
-	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
+	var sr StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(names) != len(tests) {
-		t.Errorf("buildings = %v, want %d entries", names, len(tests))
+	if len(sr.PerBuilding) != len(tests) {
+		t.Errorf("buildings = %+v, want %d entries", sr.PerBuilding, len(tests))
 	}
-}
-
-func TestPredictRouted(t *testing.T) {
-	srv, tests := testServer(t)
-	for name, pool := range tests {
-		rec := pool[0]
-		resp := postJSON(t, srv.URL+"/v1/predict", rec)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
+	for _, b := range sr.PerBuilding {
+		if _, ok := tests[b.Building]; !ok {
+			t.Errorf("stats lists unknown building %q", b.Building)
 		}
-		var pr PredictResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if pr.Building != name {
-			t.Errorf("building = %q, want %q", pr.Building, name)
-		}
-		if pr.ID != rec.ID {
-			t.Errorf("id = %q, want %q", pr.ID, rec.ID)
-		}
-		if pr.Overlap <= 0 {
-			t.Errorf("overlap = %v, want > 0", pr.Overlap)
-		}
-	}
-}
-
-func TestPredictWithinBuilding(t *testing.T) {
-	srv, tests := testServer(t)
-	for name, pool := range tests {
-		rec := pool[1]
-		resp := postJSON(t, srv.URL+"/v1/predict/"+name, rec)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
-		}
-		var pr PredictResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if pr.Building != name {
-			t.Errorf("building = %q, want %q", pr.Building, name)
-		}
-	}
-}
-
-func TestPredictBatchEndpoint(t *testing.T) {
-	srv, tests := testServer(t)
-	var recs []dataset.Record
-	want := map[string]string{} // scan ID -> building
-	for name, pool := range tests {
-		for _, rec := range pool[:3] {
-			recs = append(recs, rec)
-			want[rec.ID] = name
-		}
-	}
-	// One alien scan: its slot must carry an error without failing the rest.
-	recs = append(recs, dataset.Record{ID: "alien", Readings: []dataset.Reading{
-		{MAC: "ff:ff:ff:ff:ff:01", RSS: -50},
-	}})
-	resp := postJSON(t, srv.URL+"/v1/predict/batch", recs)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(br.Results) != len(recs) {
-		t.Fatalf("results = %d, want %d", len(br.Results), len(recs))
-	}
-	for i, item := range br.Results {
-		if item.ID != recs[i].ID {
-			t.Errorf("item %d id = %q, want %q (order must be preserved)", i, item.ID, recs[i].ID)
-		}
-		if building, ok := want[item.ID]; ok {
-			if item.Error != "" {
-				t.Errorf("scan %q: unexpected error %q", item.ID, item.Error)
-			}
-			if item.Result == nil {
-				t.Errorf("scan %q: missing result", item.ID)
-			} else if item.Result.Building != building {
-				t.Errorf("scan %q routed to %q, want %q", item.ID, item.Result.Building, building)
-			}
-		} else {
-			if item.Error == "" {
-				t.Errorf("alien scan %q: expected inline error", item.ID)
-			}
-			if item.Result != nil {
-				t.Errorf("alien scan %q: error and result are mutually exclusive", item.ID)
-			}
-		}
-	}
-}
-
-func TestPredictBatchBadRequests(t *testing.T) {
-	srv, _ := testServer(t)
-	for _, tt := range []struct {
-		name string
-		body string
-		want int
-	}{
-		{"not an array", `{"id":"x"}`, http.StatusBadRequest},
-		{"empty batch", `[]`, http.StatusBadRequest},
-		{"invalid json", `[{`, http.StatusBadRequest},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			resp, err := http.Post(srv.URL+"/v1/predict/batch", "application/json", strings.NewReader(tt.body))
-			if err != nil {
-				t.Fatalf("POST: %v", err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != tt.want {
-				t.Errorf("status = %d, want %d", resp.StatusCode, tt.want)
-			}
-		})
-	}
-}
-
-func TestPredictUnknownBuilding(t *testing.T) {
-	srv, tests := testServer(t)
-	var rec dataset.Record
-	for _, pool := range tests {
-		rec = pool[0]
-		break
-	}
-	resp := postJSON(t, srv.URL+"/v1/predict/not-a-building", rec)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -354,7 +228,7 @@ func TestPredictAlienScan(t *testing.T) {
 	alien := dataset.Record{ID: "alien", Readings: []dataset.Reading{
 		{MAC: "ff:ff:ff:ff:ff:01", RSS: -50},
 	}}
-	resp := postJSON(t, srv.URL+"/v1/predict", alien)
+	resp := postJSON(t, srv.URL+"/v2/classify", alien)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("status = %d, want 422", resp.StatusCode)
 	}
@@ -367,39 +241,14 @@ func TestPredictAlienScan(t *testing.T) {
 	}
 }
 
-func TestPredictBadRequests(t *testing.T) {
-	srv, _ := testServer(t)
-	tests := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"invalid json", "{not json", http.StatusBadRequest},
-		{"empty readings", `{"id":"x","readings":[]}`, http.StatusBadRequest},
-		{"unknown field", `{"id":"x","bogus":1,"readings":[{"mac":"m","rss":-50}]}`, http.StatusBadRequest},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(tt.body))
-			if err != nil {
-				t.Fatalf("POST: %v", err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != tt.want {
-				t.Errorf("status = %d, want %d", resp.StatusCode, tt.want)
-			}
-		})
-	}
-}
-
 func TestMethodRouting(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/v1/predict")
+	resp, err := http.Get(srv.URL + "/v2/classify")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/predict status = %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v2/classify status = %d, want 405", resp.StatusCode)
 	}
 }

@@ -1,8 +1,8 @@
-// The /v2 HTTP surface, built on the context-first Classify API. It
-// extends v1 with a confidence signal and top-K candidate floors, write
-// operations (absorb, MAC retirement), fleet statistics, and an NDJSON
-// streaming batch route that never buffers whole responses in memory and
-// aborts promptly when the client disconnects.
+// The /v2 HTTP surface, built on the context-first Classify API: a
+// confidence signal and top-K candidate floors, write operations
+// (absorb, MAC retirement), fleet statistics, and an NDJSON streaming
+// batch route that never buffers whole responses in memory and aborts
+// promptly when the client disconnects.
 
 package server
 
@@ -268,33 +268,9 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 		}
 		opts := optionsOf(topK, absorb)
 
-		next, err := batchReader(w, r)
+		recs, status, err := DecodeBatch(w, r)
 		if err != nil {
-			writeError(w, decodeStatus(err), err)
-			return
-		}
-		// Decode phase: everything is validated before any work happens,
-		// so a batch that will be rejected absorbs nothing. Memory is
-		// bounded by maxBatchBytes regardless.
-		var recs []dataset.Record
-		for {
-			rec, err := next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				writeError(w, decodeStatus(err), fmt.Errorf("decode batch: %w", err))
-				return
-			}
-			recs = append(recs, *rec)
-			if len(recs) > maxBatchScans {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("batch exceeds %d scans", maxBatchScans))
-				return
-			}
-		}
-		if len(recs) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("batch has no scans"))
+			writeError(w, status, err)
 			return
 		}
 
@@ -343,47 +319,61 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 	}
 }
 
-// batchReader returns an iterator over the scans of a batch body,
-// accepting either a JSON array or an NDJSON stream (detected from the
-// first non-space byte). The iterator yields io.EOF after the last scan.
-func batchReader(w http.ResponseWriter, r *http.Request) (func() (*dataset.Record, error), error) {
+// DecodeBatch reads and validates a whole batch body, so a batch that
+// will be rejected is refused before any scan is classified or absorbed.
+// The body is a JSON array or an NDJSON stream of scans (told apart by
+// its first non-space byte), at most maxBatchScans scans in
+// maxBatchBytes. Scans decode as ClassifyRequest, so both dataset.Record
+// and single-classify bodies parse, and an unknown field is an error.
+// Options are batch-wide (query string): a scan carrying its own
+// top_k/absorb is rejected rather than silently stripped, so explicit
+// write intent is never dropped. On failure it returns the status to
+// answer with: 413 past a limit, 400 otherwise. The fleet router decodes
+// with it too, so a node and a router refuse the same batches.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]dataset.Record, int, error) {
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	first, err := peekNonSpace(br)
+	if errors.Is(err, io.EOF) {
+		return nil, http.StatusBadRequest, errors.New("batch has no scans")
+	}
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, errors.New("batch has no scans")
-		}
-		return nil, fmt.Errorf("read batch: %w", err)
+		return nil, decodeStatus(err), fmt.Errorf("read batch: %w", err)
 	}
 	dec := json.NewDecoder(br)
 	dec.DisallowUnknownFields()
 	array := first == '['
 	if array {
 		if _, err := dec.Token(); err != nil { // consume '['
-			return nil, fmt.Errorf("decode batch: %w", err)
+			return nil, decodeStatus(err), fmt.Errorf("decode batch: %w", err)
 		}
 	}
-	return func() (*dataset.Record, error) {
-		if array && !dec.More() {
-			if _, err := dec.Token(); err != nil { // consume ']'
-				return nil, fmt.Errorf("unterminated array: %w", err)
-			}
-			return nil, io.EOF
-		}
-		// Scans decode as ClassifyRequest so both v2 body shapes parse:
-		// dataset.Record fields and single-classify fields. Batch options
-		// are batch-wide (query string); a scan that carries its own
-		// top_k/absorb is rejected outright rather than silently
-		// stripped, so explicit write intent can never be dropped.
+	var recs []dataset.Record
+	for !array || dec.More() {
 		var req ClassifyRequest
-		if err := dec.Decode(&req); err != nil {
-			return nil, err // io.EOF ends an NDJSON stream
+		err := dec.Decode(&req)
+		if err == io.EOF && !array {
+			break // the end of an NDJSON stream
+		}
+		if err != nil {
+			return nil, decodeStatus(err), fmt.Errorf("decode batch: %w", err)
 		}
 		if req.TopK != 0 || req.Absorb {
-			return nil, fmt.Errorf("scan %q: per-scan options are not supported in a batch; use query parameters (?top_k=&absorb=)", req.ID)
+			return nil, http.StatusBadRequest, fmt.Errorf("decode batch: scan %q: per-scan options are not supported in a batch; use query parameters (?top_k=&absorb=)", req.ID)
 		}
-		return &dataset.Record{ID: req.ID, Readings: req.Readings}, nil
-	}, nil
+		recs = append(recs, dataset.Record{ID: req.ID, Readings: req.Readings})
+		if len(recs) > maxBatchScans {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("batch exceeds %d scans", maxBatchScans)
+		}
+	}
+	if array {
+		if _, err := dec.Token(); err != nil { // consume ']'
+			return nil, decodeStatus(err), fmt.Errorf("decode batch: unterminated array: %w", err)
+		}
+	}
+	if len(recs) == 0 {
+		return nil, http.StatusBadRequest, errors.New("batch has no scans")
+	}
+	return recs, http.StatusOK, nil
 }
 
 // peekNonSpace returns the first non-whitespace byte without consuming it.
@@ -403,8 +393,7 @@ func peekNonSpace(br *bufio.Reader) (byte, error) {
 }
 
 // decodeStatus maps a batch decode error to its HTTP status: an
-// over-limit body is 413 (matching the v1 batch route), anything else
-// malformed is 400.
+// over-limit body is 413, anything else malformed is 400.
 func decodeStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

@@ -38,6 +38,12 @@ func TestV2Classify(t *testing.T) {
 		if cr.Building != name {
 			t.Errorf("building = %q, want %q", cr.Building, name)
 		}
+		if cr.ID != rec.ID {
+			t.Errorf("id = %q, want %q", cr.ID, rec.ID)
+		}
+		if cr.Overlap <= 0 {
+			t.Errorf("overlap = %v, want > 0", cr.Overlap)
+		}
 		if cr.Confidence <= 0 || cr.Confidence > 1 {
 			t.Errorf("confidence %v outside (0,1]", cr.Confidence)
 		}
@@ -337,7 +343,7 @@ func TestV2ClassifyBatchBadRequests(t *testing.T) {
 	})
 	t.Run("oversized body", func(t *testing.T) {
 		// One scan whose id alone blows the 32 MB body cap: the limit
-		// trips mid-decode and must surface as 413, like v1.
+		// trips mid-decode and must surface as 413.
 		body := `{"id":"` + strings.Repeat("A", 33<<20) + `"`
 		resp, err := http.Post(srv.URL+"/v2/classify/batch", "application/x-ndjson", strings.NewReader(body))
 		if err != nil {
@@ -395,7 +401,7 @@ func (d *disconnectingWriter) Lines() int {
 // and serializing the rest of the batch.
 func TestV2BatchStreamStopsOnDisconnect(t *testing.T) {
 	p, tests := testPortfolio(t)
-	h := Handler(p)
+	h := NewHandler(p, p, Options{})
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	total := 0
@@ -430,7 +436,7 @@ func TestV2BatchStreamStopsOnDisconnect(t *testing.T) {
 // deadline already blown in a proxy) must not classify anything.
 func TestV2BatchAlreadyCancelled(t *testing.T) {
 	p, tests := testPortfolio(t)
-	h := Handler(p)
+	h := NewHandler(p, p, Options{})
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	for _, pool := range tests {
@@ -462,7 +468,7 @@ func TestV2BatchAlreadyCancelled(t *testing.T) {
 // last error through /v2/stats, totalled at the top level.
 func TestV2StatsSamplerFailures(t *testing.T) {
 	p, _ := testPortfolio(t)
-	srv := httptest.NewServer(Handler(p))
+	srv := httptest.NewServer(NewHandler(p, p, Options{}))
 	t.Cleanup(srv.Close)
 	name := p.Buildings()[0]
 	sys, err := p.System(name)
