@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -68,6 +69,21 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	}
 	t.Cleanup(func() { resp.Body.Close() })
 	return resp
+}
+
+// getStats fetches /v2/stats.
+func getStats(t *testing.T, baseURL string) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v2/stats")
+	if err != nil {
+		t.Fatalf("GET stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var sr StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	return sr
 }
 
 func TestHealthz(t *testing.T) {
@@ -204,15 +220,7 @@ func TestHealthzReplication(t *testing.T) {
 // TestBuildings: /v2/stats lists every trained building by name.
 func TestBuildings(t *testing.T) {
 	srv, tests := testServer(t)
-	resp, err := http.Get(srv.URL + "/v2/stats")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	defer resp.Body.Close()
-	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	sr := getStats(t, srv.URL)
 	if len(sr.PerBuilding) != len(tests) {
 		t.Errorf("buildings = %+v, want %d entries", sr.PerBuilding, len(tests))
 	}
@@ -220,6 +228,117 @@ func TestBuildings(t *testing.T) {
 		if _, ok := tests[b.Building]; !ok {
 			t.Errorf("stats lists unknown building %q", b.Building)
 		}
+	}
+}
+
+// TestPredictRouted: a bare scan with no options is routed to its own
+// building, echoes its ID, reports a positive MAC overlap and answers
+// with the winning floor only.
+func TestPredictRouted(t *testing.T) {
+	srv, tests := testServer(t)
+	for name, pool := range tests {
+		rec := pool[0]
+		resp := postJSON(t, srv.URL+"/v2/classify", rec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200", resp.StatusCode)
+		}
+		cr := decodeClassify(t, resp)
+		if cr.Building != name {
+			t.Errorf("building = %q, want %q", cr.Building, name)
+		}
+		if cr.ID != rec.ID {
+			t.Errorf("id = %q, want %q", cr.ID, rec.ID)
+		}
+		if cr.Overlap <= 0 {
+			t.Errorf("overlap = %v, want > 0", cr.Overlap)
+		}
+		if len(cr.Candidates) != 1 || cr.Candidates[0].Floor != cr.Floor {
+			t.Errorf("candidates = %+v, want the winning floor %d only", cr.Candidates, cr.Floor)
+		}
+		if cr.Absorbed {
+			t.Error("read-only classify reported absorbed")
+		}
+	}
+}
+
+// TestPredictBatchEndpoint: a batch with no query options answers every
+// scan in request order, routes each to its own building, and carries an
+// alien scan's error inline without failing the rest.
+func TestPredictBatchEndpoint(t *testing.T) {
+	srv, tests := testServer(t)
+	var recs []dataset.Record
+	want := map[string]string{} // scan ID -> building
+	for name, pool := range tests {
+		for _, rec := range pool[:3] {
+			recs = append(recs, rec)
+			want[rec.ID] = name
+		}
+	}
+	recs = append(recs, dataset.Record{ID: "alien", Readings: []dataset.Reading{
+		{MAC: "ff:ff:ff:ff:ff:01", RSS: -50},
+	}})
+	resp := postJSON(t, srv.URL+"/v2/classify/batch", recs)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	items := readNDJSON(t, resp)
+	if len(items) != len(recs) {
+		t.Fatalf("items = %d, want %d", len(items), len(recs))
+	}
+	for i, item := range items {
+		if item.ID != recs[i].ID {
+			t.Errorf("item %d id = %q, want %q (order must be preserved)", i, item.ID, recs[i].ID)
+		}
+		building, ok := want[item.ID]
+		if !ok {
+			if item.Error == "" || item.Result != nil {
+				t.Errorf("alien scan: error=%q result=%v, want inline error only", item.Error, item.Result)
+			}
+			continue
+		}
+		if item.Error != "" || item.Result == nil {
+			t.Errorf("scan %q: error=%q result=%v", item.ID, item.Error, item.Result)
+			continue
+		}
+		if item.Result.Building != building {
+			t.Errorf("scan %q routed to %q, want %q", item.ID, item.Result.Building, building)
+		}
+		if item.Result.ID != item.ID {
+			t.Errorf("scan %q: result id = %q", item.ID, item.Result.ID)
+		}
+		if len(item.Result.Candidates) != 1 || item.Result.Absorbed {
+			t.Errorf("scan %q: candidates=%d absorbed=%v, want the winner only, not absorbed",
+				item.ID, len(item.Result.Candidates), item.Result.Absorbed)
+		}
+	}
+}
+
+// TestPredictBatchBadRequests: an absorbing batch whose body does not
+// decode is refused with 400 before any scan is absorbed.
+func TestPredictBatchBadRequests(t *testing.T) {
+	srv, _ := testServer(t)
+	before := getStats(t, srv.URL)
+	for _, tt := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"empty batch", `[]`, http.StatusBadRequest},
+		{"invalid json", `[{`, http.StatusBadRequest},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v2/classify/batch?absorb=true", "application/json", strings.NewReader(tt.body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tt.want {
+				t.Errorf("status = %d, want %d", resp.StatusCode, tt.want)
+			}
+		})
+	}
+	if after := getStats(t, srv.URL); after.Records != before.Records {
+		t.Errorf("records %d -> %d, want unchanged", before.Records, after.Records)
 	}
 }
 
@@ -238,6 +357,38 @@ func TestPredictAlienScan(t *testing.T) {
 	}
 	if er.Error == "" {
 		t.Error("empty error message")
+	}
+}
+
+// TestPredictBadRequests: the absorb route decodes a scan like the
+// classify route — malformed JSON, an empty scan or an unknown field is
+// a 400 — and absorbs nothing. The third body's readings are valid, so
+// only the unknown-field rule stands between it and the graph.
+func TestPredictBadRequests(t *testing.T) {
+	srv, _ := testServer(t)
+	before := getStats(t, srv.URL)
+	for _, tt := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"invalid json", "{not json", http.StatusBadRequest},
+		{"empty readings", `{"id":"x","readings":[]}`, http.StatusBadRequest},
+		{"unknown field", `{"id":"x","bogus":1,"readings":[{"mac":"m","rss":-50}]}`, http.StatusBadRequest},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v2/absorb", "application/json", strings.NewReader(tt.body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tt.want {
+				t.Errorf("status = %d, want %d", resp.StatusCode, tt.want)
+			}
+		})
+	}
+	if after := getStats(t, srv.URL); after.Records != before.Records {
+		t.Errorf("records %d -> %d, want unchanged", before.Records, after.Records)
 	}
 }
 
