@@ -38,11 +38,12 @@
 // net/http/pprof under /debug/pprof/; -version prints the build and
 // exits.
 //
-// Read-only classifications are snapshot-overlay inference against the
-// trained models, so concurrent requests scale with cores. Every request
-// runs under a context with -request-timeout; cancellation (timeout or
-// client disconnect) aborts in-flight batch work promptly. SIGINT/SIGTERM
-// drain in-flight requests before exit (graceful shutdown).
+// Read-only classifications embed each scan from its edges into the
+// frozen trained models under a shared read lock, so concurrent requests
+// scale with cores. Every request runs under a context with
+// -request-timeout; cancellation (timeout or client disconnect) aborts
+// in-flight batch work promptly. SIGINT/SIGTERM drain in-flight requests
+// before exit (graceful shutdown).
 //
 // # Scaling out
 //

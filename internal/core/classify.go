@@ -22,25 +22,27 @@ import (
 )
 
 // classifyWorkspace is the pooled per-request scratch of a classification:
-// the MAC dedup set, the reusable scan overlay, the detached-embedding
-// buffers, and the per-floor reduction arrays. Pooling it makes the
-// read-only Classify path allocation-free apart from the Result itself.
+// the MAC dedup set, the RSS dedup map and edge list of the scan, the
+// scan-embedding buffers, and the per-floor reduction arrays. Pooling it
+// makes the read-only Classify path allocation-free apart from the Result
+// itself.
 // A workspace carries no model state — every field is rebuilt from the
 // current snapshot on use — so the pool is safely shared across Systems,
 // absorbs, and hot swaps.
 type classifyWorkspace struct {
 	seen         map[string]struct{}
-	overlay      rfgraph.Overlay
+	best         map[string]float64
+	edges        []rfgraph.Halfedge
 	embed        embed.Workspace
 	floorDist    []float64
 	floorCluster []int32
-	// clk times the pipeline stages (overlay, embed, reduce) without
+	// clk times the pipeline stages (scan edges, embed, reduce) without
 	// allocating; the hot path flushes it into the obs stage histograms.
 	clk obs.StageClock
 }
 
 var classifyPool = sync.Pool{New: func() any {
-	return &classifyWorkspace{seen: make(map[string]struct{}, 32)}
+	return &classifyWorkspace{seen: make(map[string]struct{}, 32), best: make(map[string]float64, 32)}
 }}
 
 // Classifier is the context-first classification contract. Both System
@@ -349,20 +351,20 @@ func (s *System) incrementalFor(o options, seq int64) embed.IncrementalConfig {
 	return inc
 }
 
-// embedDetachedRLocked runs the read-only half of the §V pipeline: check
-// MAC overlap, layer the scan over the frozen graph as a virtual node
-// (rfgraph.Overlay), and embed it detachedly against the frozen model.
-// Overlay and embedding compute into ws's pooled buffers; the returned
+// embedScanRLocked runs the read-only half of the §V pipeline: check MAC
+// overlap, collect the scan's edges into the frozen graph
+// (rfgraph.Graph.ScanEdges), and embed the scan against the frozen model
+// (embed.EmbedScan). Both compute into ws's pooled buffers; the returned
 // ego vector is owned by ws and valid only until its next use. The
 // caller holds at least s.mu.RLock; no shared state is written.
 //
 //grafics:rlocked mu
 //grafics:hotpath
-func (s *System) embedDetachedRLocked(rec *dataset.Record, o options, ws *classifyWorkspace) ([]float64, error) {
+func (s *System) embedScanRLocked(rec *dataset.Record, o options, ws *classifyWorkspace) ([]float64, error) {
 	if !s.trained {
 		return nil, ErrNotTrained
 	}
-	// Check MAC overlap before overlay construction so degenerate scans
+	// Check MAC overlap before the edge validation so degenerate scans
 	// (empty, or sharing no MAC with training data) surface as
 	// ErrOutOfBuilding exactly as the write path reports them. Footnote 1
 	// of the paper: a sample containing only never-seen MACs was likely
@@ -370,13 +372,14 @@ func (s *System) embedDetachedRLocked(rec *dataset.Record, o options, ws *classi
 	if s.knownMACsInto(rec, ws.seen) == 0 {
 		return nil, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
 	}
-	ov := &ws.overlay
-	if err := ov.Reset(s.graph, rec); err != nil {
-		return nil, fmt.Errorf("core: online overlay: %w", err)
+	edges, err := s.graph.ScanEdges(ws.edges, rec, ws.best)
+	ws.edges = edges
+	if err != nil {
+		return nil, fmt.Errorf("core: scan edges: %w", err)
 	}
 	ws.clk.Mark(stageOverlay)
 	inc := s.incrementalFor(o, s.predictSeq.Add(1))
-	ego, err := embed.EmbedDetachedEgoInto(&ws.embed, ov, s.emb, ov.Node(), inc, s.neg)
+	ego, err := embed.EmbedScan(&ws.embed, edges, s.emb, inc, s.neg)
 	if err != nil {
 		return nil, fmt.Errorf("core: online embedding: %w", err)
 	}
@@ -385,10 +388,10 @@ func (s *System) embedDetachedRLocked(rec *dataset.Record, o options, ws *classi
 }
 
 // Classify classifies one scan through the §V online-inference pipeline.
-// By default it is read-only — the scan is layered over the frozen graph
-// as a virtual node and embedded against the frozen model under a shared
-// read lock, so any number of classifications run in parallel. With
-// WithAbsorb the scan is kept in the graph instead (an exclusive write).
+// By default it is read-only — the scan's edges into the frozen graph are
+// embedded against the frozen model under a shared read lock, so any
+// number of classifications run in parallel. With WithAbsorb the scan is
+// kept in the graph instead (an exclusive write).
 // Classify returns ctx.Err() when ctx is already done; the embedding
 // step itself is sub-millisecond and runs to completion once started.
 func (s *System) Classify(ctx context.Context, rec *dataset.Record, opts ...Option) (Result, error) {
@@ -412,25 +415,25 @@ func (s *System) Do(ctx context.Context, req Request) (Result, error) {
 }
 
 // classifyRLocked is the read-only classification path. It borrows a
-// pooled workspace for the request's scratch state — overlay, embedding
-// buffers, per-floor reduction — and returns it on exit, so steady-state
-// classification allocates only the Result. The caller holds at least
-// s.mu.RLock; no shared state is written.
+// pooled workspace for the request's scratch state — scan edges,
+// embedding buffers, per-floor reduction — and returns it on exit, so
+// steady-state classification allocates only the Result. The caller
+// holds at least s.mu.RLock; no shared state is written.
 //
 //grafics:rlocked mu
 //grafics:hotpath
 func (s *System) classifyRLocked(rec *dataset.Record, o options) (Result, error) {
 	ws := classifyPool.Get().(*classifyWorkspace)
 	defer func() {
-		// Drop the references into this System (embedding rows, base
-		// graph) before pooling, so an idle workspace never pins a model
-		// that a lifecycle hot swap has since retired.
+		// Drop the references into this System's embedding rows before
+		// pooling, so an idle workspace never pins a model that a
+		// lifecycle hot swap has since retired. The edge list holds only
+		// node IDs and weights.
 		ws.embed.Release()
-		ws.overlay.Release()
 		classifyPool.Put(ws)
 	}()
 	ws.clk.Start()
-	ego, err := s.embedDetachedRLocked(rec, o, ws)
+	ego, err := s.embedScanRLocked(rec, o, ws)
 	if err != nil {
 		return Result{}, err
 	}

@@ -10,13 +10,13 @@
 // A System is read-mostly. Once Fit has run, the bipartite graph, the
 // embedding tables, and the cluster model form a frozen snapshot that
 // Classify/ClassifyBatch consult under a shared read lock: each
-// classification layers a virtual scan node over the frozen graph
-// (rfgraph.Overlay) and embeds it detachedly (embed.EmbedDetached),
-// writing nothing, so any number of classifications run in parallel. The
-// exclusive writers are AddTraining, Fit, absorbing classifications
-// (WithAbsorb), RemoveMAC, and Load: they take the write lock, mutate the
-// graph/embedding in place, and publish the new snapshot to subsequent
-// readers when the lock is released. ClassifyBatch fans work out over a
+// classification collects the scan's edges into the frozen graph
+// (rfgraph.Graph.ScanEdges) and embeds them against the frozen model
+// (embed.EmbedScan), writing nothing, so any number of classifications
+// run in parallel. The exclusive writers are AddTraining, Fit, absorbing
+// classifications (WithAbsorb), RemoveMAC, and Load: they take the write
+// lock, mutate the graph/embedding in place, and publish the new snapshot
+// to subsequent readers when the lock is released. ClassifyBatch fans work out over a
 // GOMAXPROCS-sized worker pool of such readers and honors context
 // cancellation (par.ForEachCtx).
 package core

@@ -7,9 +7,9 @@ package core
 
 import "repro/internal/obs"
 
-// Stage indices of the classify StageClock, in pipeline order: overlay
-// construction over the frozen graph, detached ego embedding, per-floor
-// reduction + softmax.
+// Stage indices of the classify StageClock, in pipeline order: the scan's
+// edges into the frozen graph (labeled "overlay", the name dashboards and
+// perfbench read), ego embedding, per-floor reduction + softmax.
 const (
 	stageOverlay = iota
 	stageEmbed

@@ -24,8 +24,9 @@
 // online path, so the paper's 8-dimensional configuration takes a fused
 // allocation-free fast path (see sgdUpdate8).
 //
-// The package also provides the paper's online-inference step: embedding
-// a newly inserted node while all other embeddings stay fixed (§V-A),
+// The package also provides the paper's online-inference step (§V-A):
+// embedding a new scan from its own edges while all other embeddings stay
+// fixed (EmbedScan, and EmbedNewNode for a record kept in the graph),
 // warm-started from the trained records that share its MACs (see
 // NegativeSampler), and an Objective diagnostic for experiment harnesses.
 package embed

@@ -225,6 +225,10 @@ func TestEmbedNewNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
 	// A new record sensing floor-0 MACs should land near floor-0 records.
 	rec := dataset.Record{ID: "new", Readings: []dataset.Reading{
 		{MAC: "a0", RSS: -55}, {MAC: "a3", RSS: -60}, {MAC: "a5", RSS: -70},
@@ -233,7 +237,7 @@ func TestEmbedNewNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRecord: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), nil); err != nil {
+	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), neg); err != nil {
 		t.Fatalf("EmbedNewNode: %v", err)
 	}
 	mean := func(ids []rfgraph.NodeID) float64 {
@@ -249,10 +253,14 @@ func TestEmbedNewNode(t *testing.T) {
 }
 
 func TestEmbedNewNodeWithNewMAC(t *testing.T) {
-	g, f0, _ := twoFloorGraph(t, 10, 3, 7)
+	g, _, _ := twoFloorGraph(t, 10, 3, 7)
 	emb, err := Train(g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
+	}
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
 	}
 	// Record with one known and one never-seen MAC still embeds.
 	rec := dataset.Record{ID: "new", Readings: []dataset.Reading{
@@ -262,53 +270,56 @@ func TestEmbedNewNodeWithNewMAC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRecord: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), nil); err != nil {
+	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), neg); err != nil {
 		t.Fatalf("EmbedNewNode: %v", err)
 	}
 	if emb.EgoOf(id) == nil {
 		t.Fatal("new node has no embedding")
 	}
-	_ = f0
 }
 
-// TestEmbedDetachedOverlay checks the snapshot-overlay inference path:
-// embedding a virtual scan node against a frozen model must not mutate
-// the embedding tables, and the ego-only fast path must agree with the
-// full detached computation bit for bit.
+// TestEmbedDetachedOverlay checks the read-only scan-embedding path:
+// embedding a scan's edges against a frozen model must not mutate the
+// embedding tables, and the ego-only fast path (EmbedScan) must agree
+// with the ego of the ego+context computation bit for bit.
 func TestEmbedDetachedOverlay(t *testing.T) {
 	g, f0, f1 := twoFloorGraph(t, 20, 3, 6)
 	emb, err := Train(g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
 	rows := len(emb.Ego)
 	snapshot := append([]float64(nil), emb.Ego[0]...)
 	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{
 		{MAC: "a0", RSS: -55}, {MAC: "a3", RSS: -60}, {MAC: "a5", RSS: -70},
 	}}
-	ov, err := rfgraph.NewOverlay(g, &rec)
+	edges, err := g.ScanEdges(nil, &rec, nil)
 	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+		t.Fatalf("ScanEdges: %v", err)
 	}
 	cfg := DefaultIncrementalConfig()
-	ego, ctx, err := EmbedDetached(ov, emb, ov.Node(), cfg, nil)
+	ego, ctx, err := embedEdges(&Workspace{}, edges, emb, cfg, neg, true)
 	if err != nil {
-		t.Fatalf("EmbedDetached: %v", err)
+		t.Fatalf("embedEdges: %v", err)
 	}
 	if len(ego) != emb.Dim || len(ctx) != emb.Dim {
 		t.Fatalf("vector dims %d/%d, want %d", len(ego), len(ctx), emb.Dim)
 	}
 	if len(emb.Ego) != rows {
-		t.Errorf("EmbedDetached grew the table %d -> %d", rows, len(emb.Ego))
+		t.Errorf("embedding the scan grew the table %d -> %d", rows, len(emb.Ego))
 	}
 	for d := range snapshot {
 		if emb.Ego[0][d] != snapshot[d] {
-			t.Fatal("EmbedDetached mutated a frozen row")
+			t.Fatal("embedding the scan mutated a frozen row")
 		}
 	}
-	egoOnly, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, nil)
+	egoOnly, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg)
 	if err != nil {
-		t.Fatalf("EmbedDetachedEgo: %v", err)
+		t.Fatalf("EmbedScan: %v", err)
 	}
 	for d := range ego {
 		if ego[d] != egoOnly[d] {
@@ -324,33 +335,47 @@ func TestEmbedDetachedOverlay(t *testing.T) {
 		return s / float64(len(ids))
 	}
 	if d0, d1 := mean(f0), mean(f1); d0 >= d1 {
-		t.Errorf("overlay scan closer to floor 1: d0=%v d1=%v", d0, d1)
+		t.Errorf("floor-0 scan closer to floor 1: d0=%v d1=%v", d0, d1)
 	}
 }
 
-// TestEmbedDetachedSharedSampler checks that passing a prebuilt
-// NegativeSampler reproduces the build-on-the-fly result exactly.
+// TestEmbedDetachedSharedSampler checks that a prebuilt NegativeSampler,
+// already used by another scan, reproduces the result of one built on the
+// fly for this scan exactly: embedding a scan leaves the sampler as it
+// found it.
 func TestEmbedDetachedSharedSampler(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 10, 3, 9)
 	emb, err := Train(g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}}}
-	ov, err := rfgraph.NewOverlay(g, &rec)
-	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
-	}
-	neg, err := NewNegativeSampler(ov, emb)
+	shared, err := NewNegativeSampler(g, emb)
 	if err != nil {
 		t.Fatalf("NewNegativeSampler: %v", err)
 	}
 	cfg := DefaultIncrementalConfig()
-	a, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
+	other := dataset.Record{ID: "other", Readings: []dataset.Reading{{MAC: "b2", RSS: -58}, {MAC: "a4", RSS: -71}}}
+	otherEdges, err := g.ScanEdges(nil, &other, nil)
+	if err != nil {
+		t.Fatalf("ScanEdges(other): %v", err)
+	}
+	if _, err := EmbedScan(&Workspace{}, otherEdges, emb, cfg, shared); err != nil {
+		t.Fatalf("EmbedScan(other): %v", err)
+	}
+	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}}}
+	edges, err := g.ScanEdges(nil, &rec, nil)
+	if err != nil {
+		t.Fatalf("ScanEdges: %v", err)
+	}
+	a, err := EmbedScan(&Workspace{}, edges, emb, cfg, shared)
 	if err != nil {
 		t.Fatalf("shared sampler: %v", err)
 	}
-	b, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, nil)
+	fresh, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
+	b, err := EmbedScan(&Workspace{}, edges, emb, cfg, fresh)
 	if err != nil {
 		t.Fatalf("on-the-fly sampler: %v", err)
 	}

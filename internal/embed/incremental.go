@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/sampling"
 )
 
-// IncrementalConfig controls online embedding of newly inserted nodes
-// (§V-A of the paper): SGD on the node's own E-LINE objective against
-// frozen ego and context tables.
+// IncrementalConfig controls online embedding of a new scan (§V-A of the
+// paper): SGD on the scan's own E-LINE objective against frozen ego and
+// context tables.
 type IncrementalConfig struct {
-	// Rounds is how many passes of SGD samples are made over the new
-	// node's incident edges; it is the whole budget, with no early stop.
+	// Rounds is how many passes of SGD samples are made over the scan's
+	// edges; it is the whole budget, with no early stop.
 	Rounds int
 	// LearningRate is the (constant) SGD step size.
 	LearningRate float64
@@ -49,8 +50,8 @@ func (c *IncrementalConfig) Validate() error {
 }
 
 // NegativeSampler is the frozen per-snapshot state that online inference
-// shares across requests. It holds two things built from one graph view
-// and embedding:
+// shares across requests. It holds two things built from one graph and
+// embedding:
 //
 //   - the negative-sampling distribution over the live trained nodes,
 //     ∝ weightedDegree^{3/4}, drawn in O(1);
@@ -74,12 +75,12 @@ type NegativeSampler struct {
 }
 
 // NewNegativeSampler builds the deg^{3/4} node distribution and the
-// warm-start table for view. Only nodes with a trained row in emb (index
+// warm-start table for g. Only nodes with a trained row in emb (index
 // < len(emb.Ego)) are included — untrained vectors are meaningless as
 // negatives and as start points.
-func NewNegativeSampler(view rfgraph.View, emb *Embedding) (*NegativeSampler, error) {
+func NewNegativeSampler(g *rfgraph.Graph, emb *Embedding) (*NegativeSampler, error) {
 	trained := len(emb.Ego)
-	if n := view.NumNodes(); n < trained {
+	if n := g.NumNodes(); n < trained {
 		trained = n
 	}
 	var nodes []rfgraph.NodeID
@@ -88,18 +89,18 @@ func NewNegativeSampler(view rfgraph.View, emb *Embedding) (*NegativeSampler, er
 	warm := make([]float64, trained*stride)
 	for n := 0; n < trained; n++ {
 		nid := rfgraph.NodeID(n)
-		if !view.Alive(nid) || view.Degree(nid) == 0 {
+		if !g.Alive(nid) || g.Degree(nid) == 0 {
 			continue
 		}
 		nodes = append(nodes, nid)
-		weights = append(weights, math.Pow(view.WeightedDegree(nid), 0.75))
-		if view.Kind(nid) != rfgraph.KindMAC {
+		weights = append(weights, math.Pow(g.WeightedDegree(nid), 0.75))
+		if g.Kind(nid) != rfgraph.KindMAC {
 			continue
 		}
 		row := warm[n*stride : (n+1)*stride]
-		for _, he := range view.Neighbors(nid) {
+		for _, he := range g.Neighbors(nid) {
 			if int(he.To) >= trained {
-				continue // a record with no trained row, e.g. an overlay's scan
+				continue // a record newer than the embedding
 			}
 			axpy(he.Weight, emb.Ego[he.To], row[:emb.Dim])
 			row[emb.Dim] += he.Weight
@@ -148,7 +149,7 @@ func (n *NegativeSampler) warmStart(dst []float64, edges []rfgraph.Halfedge) boo
 	return true
 }
 
-// Workspace holds the reusable buffers of one detached embedding: the
+// Workspace holds the reusable buffers of one scan embedding: the
 // learned vectors, SGD scratch, the per-scan incident-edge alias table,
 // and the negative-draw buffer. Reusing a Workspace across requests
 // removes every per-call allocation of the online-inference hot path. A
@@ -176,86 +177,54 @@ func (ws *Workspace) Release() {
 	}
 }
 
-// EmbedDetachedEgo is EmbedDetached without the O2 (context-of-id)
-// direction. With frozen tables and negatives drawn once per sample, the
-// two directions are independent, so the returned ego vector is
-// bit-identical to EmbedDetached's at about half the cost. Use it when
-// the caller only classifies (Predict) and never retains the node.
-func EmbedDetachedEgo(view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg IncrementalConfig, neg *NegativeSampler) ([]float64, error) {
-	ego, _, err := embedDetached(view, emb, id, cfg, neg, false, nil)
+// EmbedScan learns the ego vector of a scan whose edges into the frozen
+// graph are edges (rfgraph.Graph.ScanEdges) by minimizing the E-LINE
+// objective restricted to those edges, while treating emb and neg as
+// strictly read-only: any number of EmbedScan calls may run concurrently
+// against the same frozen model under a shared read lock. Edges to MACs
+// with no trained row contribute nothing to the start vector or the
+// positive term.
+//
+// neg supplies the negative-sampling distribution and warm-start table;
+// it must have been built over the graph the edges came from, or over an
+// earlier state of it: nodes added since are never drawn as negatives,
+// and MACs added since contribute nothing to the start vector. The
+// returned vector is owned by ws and valid only until its next use; the
+// call allocates nothing once ws has warmed up.
+//
+//grafics:hotpath
+func EmbedScan(ws *Workspace, edges []rfgraph.Halfedge, emb *Embedding, cfg IncrementalConfig, neg *NegativeSampler) ([]float64, error) {
+	ego, _, err := embedEdges(ws, edges, emb, cfg, neg, false)
 	return ego, err
 }
 
-// EmbedDetachedEgoInto is EmbedDetachedEgo computing into ws's buffers:
-// the returned ego vector is owned by ws and valid only until its next
-// use, and the call allocates nothing once ws has warmed up. The result
-// is bit-identical to EmbedDetachedEgo.
+// embedEdges is EmbedScan that also learns the context vector when
+// wantCtx is set. With frozen tables and negatives drawn once per sample
+// the two directions are independent, so the ego vector is bit-identical
+// either way, and classify-only callers skip the context's half of the
+// cost.
 //
 //grafics:hotpath
-func EmbedDetachedEgoInto(ws *Workspace, view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg IncrementalConfig, neg *NegativeSampler) ([]float64, error) {
-	if ws == nil {
-		ws = &Workspace{} // grafics:allocok nil-workspace fallback, not the pooled path
-	}
-	ego, _, err := embedDetached(view, emb, id, cfg, neg, false, ws)
-	return ego, err
-}
-
-// EmbedDetached learns ego and context vectors for node id of view —
-// typically a virtual scan node of an rfgraph.Overlay — while treating
-// emb as strictly read-only, by minimizing the E-LINE objective
-// restricted to id's incident edges. Nothing is written to emb or view,
-// so any number of EmbedDetached calls may run concurrently against the
-// same frozen model under a shared read lock. Neighbor nodes with no
-// trained row in emb (brand-new MACs) contribute nothing and are skipped;
-// per the paper, a record whose MACs are all new should be treated as
-// out-of-building by the caller.
-//
-// neg supplies the shared negative-sampling distribution and warm-start
-// table; pass nil to have one built from view on the fly. A non-nil neg
-// must have been built over the frozen graph snapshot that view overlays,
-// or over an earlier state of the same graph: nodes added since are never
-// drawn as negatives, and MACs added since contribute nothing to the
-// start vector.
-func EmbedDetached(view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg IncrementalConfig, neg *NegativeSampler) (ego, ctx []float64, err error) {
-	return embedDetached(view, emb, id, cfg, neg, true, nil)
-}
-
-//grafics:hotpath
-func embedDetached(view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg IncrementalConfig, neg *NegativeSampler, wantCtx bool, ws *Workspace) (ego, ctx []float64, err error) {
+func embedEdges(ws *Workspace, edges []rfgraph.Halfedge, emb *Embedding, cfg IncrementalConfig, neg *NegativeSampler, wantCtx bool) (ego, ctx []float64, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if !view.Alive(id) {
-		return nil, nil, fmt.Errorf("%w: node %d", rfgraph.ErrUnknownNode, id)
-	}
-	neighbors := view.Neighbors(id)
-	if len(neighbors) == 0 {
-		return nil, nil, fmt.Errorf("embed: node %d has no edges to embed against", id)
-	}
-	if ws == nil {
-		// One-shot callers get a private workspace; its buffers become the
-		// returned vectors, so nothing is shared or overwritten later.
-		ws = &Workspace{} // grafics:allocok one-shot callers, not the pooled path
-	}
-	if neg == nil {
-		neg, err = NewNegativeSampler(view, emb)
-		if err != nil {
-			return nil, nil, err
-		}
+	if len(edges) == 0 {
+		return nil, nil, errors.New("embed: no edges to embed against")
 	}
 	seeder := sampling.NewSeeder(cfg.Seed)
 	initSeed := seeder.Next()
 
 	// Fresh vectors: online inference must not depend on whatever happened
-	// to be in the node's slot before. The ego vector starts at the
-	// weighted mean of the trained records that share the node's MACs —
-	// the inductive start GraphSAGE-style embedders use — so the SGD below
+	// to be in the workspace before. The ego vector starts at the weighted
+	// mean of the trained records that share the scan's MACs — the
+	// inductive start GraphSAGE-style embedders use — so the SGD below
 	// refines a good guess instead of walking in from a random point. Only
-	// a node none of whose MACs reaches a trained record starts at random.
+	// a scan none of whose MACs reaches a trained record starts at random.
 	// The context vector starts at zero, as in training.
 	ws.ego = resizeVec(ws.ego, emb.Dim)
 	ego = ws.ego
-	if !neg.warmStart(ego, neighbors) {
+	if !neg.warmStart(ego, edges) {
 		randomVectorInto(ego, sampling.NewFast(initSeed))
 	}
 	fast := sampling.NewFast(seeder.Next())
@@ -265,10 +234,10 @@ func embedDetached(view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg Inc
 		ctx[d] = 0
 	}
 
-	// Edge distribution over the node's incident edges, ∝ weight.
-	ws.w = resizeVec(ws.w, len(neighbors))
+	// Edge distribution over the scan's edges, ∝ weight.
+	ws.w = resizeVec(ws.w, len(edges))
 	w := ws.w
-	for i, he := range neighbors {
+	for i, he := range edges {
 		w[i] = he.Weight
 	}
 	edgeDist, err := ws.edge.Rebuild(w)
@@ -292,8 +261,8 @@ func embedDetached(view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg Inc
 	}
 	zbuf := ws.zbuf[:cfg.NegativeSamples]
 	for r := 0; r < cfg.Rounds; r++ {
-		for s := 0; s < len(neighbors); s++ {
-			j := neighbors[edgeDist.DrawFast(fast)].To
+		for s := 0; s < len(edges); s++ {
+			j := edges[edgeDist.DrawFast(fast)].To
 			// One set of negative draws serves both directions (common
 			// random numbers): the two source vectors are independent, so
 			// sharing negatives halves the sampling cost without coupling
@@ -301,28 +270,31 @@ func embedDetached(view rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg Inc
 			for k := range zbuf {
 				zbuf[k] = neg.nodes[neg.dist.DrawFast(fast)]
 			}
-			// O1 direction: context of j given ego of id.
-			frozenUpdate(ego, row(emb.Ctx, j), emb.Ctx, j, id, zbuf, cfg.LearningRate, gs, rows)
-			// O2 direction: ego of j given context of id. Skipped for
-			// classify-only callers; it cannot affect ego.
+			// O1 direction: context of j given the scan's ego.
+			frozenUpdate(ego, row(emb.Ctx, j), emb.Ctx, j, zbuf, cfg.LearningRate, gs, rows)
+			// O2 direction: ego of j given the scan's context. Skipped
+			// for classify-only callers; it cannot affect ego.
 			if wantCtx {
-				frozenUpdate(ctx, row(emb.Ego, j), emb.Ego, j, id, zbuf, cfg.LearningRate, gs, rows)
+				frozenUpdate(ctx, row(emb.Ego, j), emb.Ego, j, zbuf, cfg.LearningRate, gs, rows)
 			}
 		}
 	}
 	return ego, ctx, nil
 }
 
-// EmbedNewNode learns ego and context embeddings for node id — typically a
-// record just inserted into g — while every other embedding stays fixed,
-// and stores them into emb, growing it to cover id if needed. This is the
-// mutating sibling of EmbedDetached for graph-growing paths (Absorb);
-// callers must hold the write lock protecting emb and g. neg is as for
-// EmbedDetached: an absorb passes the sampler of the graph before the
-// insert, so the node embeds exactly as a read-only classify of the same
-// scan would, and nil builds one over g.
-func EmbedNewNode(g rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg IncrementalConfig, neg *NegativeSampler) error {
-	ego, ctx, err := EmbedDetached(g, emb, id, cfg, neg)
+// EmbedNewNode learns ego and context embeddings for node id — a record
+// just inserted into g — while every other embedding stays fixed, and
+// stores them into emb, growing it to cover id if needed. This is the
+// mutating sibling of EmbedScan for graph-growing paths (absorb); callers
+// must hold the write lock protecting emb and g. neg is as for EmbedScan:
+// an absorb passes the sampler of the graph before the insert, so the
+// node embeds exactly as a read-only classify of the same scan would.
+func EmbedNewNode(g *rfgraph.Graph, emb *Embedding, id rfgraph.NodeID, cfg IncrementalConfig, neg *NegativeSampler) error {
+	if !g.Alive(id) {
+		return fmt.Errorf("%w: node %d", rfgraph.ErrUnknownNode, id)
+	}
+	// A private workspace: its buffers become the stored vectors.
+	ego, ctx, err := embedEdges(&Workspace{}, g.Neighbors(id), emb, cfg, neg, true)
 	if err != nil {
 		return err
 	}
@@ -334,19 +306,20 @@ func EmbedNewNode(g rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg Increme
 }
 
 // frozenUpdate is updatePair with the table rows frozen: only source (a
-// vector belonging to the new node) receives gradient. target is the
+// vector of the scan being embedded) receives gradient. target is the
 // positive row table[j] (nil when j has no trained row, in which case the
 // positive term vanishes). zs holds the pre-drawn negative nodes; draws
-// matching the positive node j or the embedded node id itself are
-// skipped. All gradient coefficients are computed against the unchanged
-// source first (gs/rows are caller scratch of size len(zs)+1), then
-// applied directly — equivalent to accumulating into a grad buffer but
-// two fewer passes over the vectors per sample.
+// matching the positive node j are skipped. The scan itself is never
+// drawn: the sampler holds only nodes with a trained row. All gradient
+// coefficients are computed against the unchanged source first (gs/rows
+// are caller scratch of size len(zs)+1), then applied directly —
+// equivalent to accumulating into a grad buffer but two fewer passes over
+// the vectors per sample.
 //
 //grafics:hotpath
-func frozenUpdate(source, target []float64, table [][]float64, j, id rfgraph.NodeID, zs []rfgraph.NodeID, lr float64, gs []float64, rows [][]float64) {
+func frozenUpdate(source, target []float64, table [][]float64, j rfgraph.NodeID, zs []rfgraph.NodeID, lr float64, gs []float64, rows [][]float64) {
 	if len(source) == 8 {
-		frozenUpdate8(source, target, table, j, id, zs, lr, gs, rows)
+		frozenUpdate8(source, target, table, j, zs, lr, gs, rows)
 		return
 	}
 	n := 0
@@ -356,7 +329,7 @@ func frozenUpdate(source, target []float64, table [][]float64, j, id rfgraph.Nod
 		n++
 	}
 	for _, z := range zs {
-		if z == j || z == id {
+		if z == j {
 			continue
 		}
 		negRow := table[z]
@@ -375,7 +348,7 @@ func frozenUpdate(source, target []float64, table [][]float64, j, id rfgraph.Nod
 // single classification takes thousands of samples.
 //
 //grafics:hotpath
-func frozenUpdate8(source, target []float64, table [][]float64, j, id rfgraph.NodeID, zs []rfgraph.NodeID, lr float64, gs []float64, rows [][]float64) {
+func frozenUpdate8(source, target []float64, table [][]float64, j rfgraph.NodeID, zs []rfgraph.NodeID, lr float64, gs []float64, rows [][]float64) {
 	src := (*[8]float64)(source)
 	n := 0
 	if len(target) >= 8 {
@@ -384,7 +357,7 @@ func frozenUpdate8(source, target []float64, table [][]float64, j, id rfgraph.No
 		n++
 	}
 	for _, z := range zs {
-		if z == j || z == id {
+		if z == j {
 			continue
 		}
 		negRow := table[z]

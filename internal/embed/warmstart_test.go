@@ -23,12 +23,12 @@ func TestWarmStartMatchesBruteForce(t *testing.T) {
 	scan := dataset.Record{ID: "scan", Readings: []dataset.Reading{
 		{MAC: "a0", RSS: -55}, {MAC: "never-seen", RSS: -40}, {MAC: "a3", RSS: -60},
 	}}
-	ov, err := rfgraph.NewOverlay(g, &scan)
+	edges, err := g.ScanEdges(nil, &scan, nil)
 	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+		t.Fatalf("ScanEdges: %v", err)
 	}
-	if ov.SkippedMACs() != 1 {
-		t.Fatalf("skipped MACs = %d, want 1", ov.SkippedMACs())
+	if len(edges) != 2 {
+		t.Fatalf("scan edges = %d, want 2 known MACs", len(edges))
 	}
 	want := make([]float64, emb.Dim)
 	var total float64
@@ -49,21 +49,17 @@ func TestWarmStartMatchesBruteForce(t *testing.T) {
 		want[d] /= total
 	}
 	cfg := IncrementalConfig{Rounds: 1, LearningRate: 1e-15, NegativeSamples: 5, Seed: 3}
-	// The sampler the system shares is built over the base graph; one
-	// built over the overlay must agree, since the scan has no trained row.
-	for _, view := range []rfgraph.View{g, ov} {
-		neg, err := NewNegativeSampler(view, emb)
-		if err != nil {
-			t.Fatalf("NewNegativeSampler: %v", err)
-		}
-		got, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
-		if err != nil {
-			t.Fatalf("EmbedDetachedEgo: %v", err)
-		}
-		for d := range want {
-			if math.Abs(got[d]-want[d]) > 1e-12 {
-				t.Fatalf("sampler over %T: start[%d] = %v, brute force %v", view, d, got[d], want[d])
-			}
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
+	got, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg)
+	if err != nil {
+		t.Fatalf("EmbedScan: %v", err)
+	}
+	for d := range want {
+		if math.Abs(got[d]-want[d]) > 1e-12 {
+			t.Fatalf("start[%d] = %v, brute force %v", d, got[d], want[d])
 		}
 	}
 }
@@ -133,14 +129,14 @@ func TestWarmStartStaleTableFallsBack(t *testing.T) {
 		t.Fatalf("AddRecord: %v", err)
 	}
 	scan := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "c1", RSS: -58}, {MAC: "c0", RSS: -44}}}
-	ov, err := rfgraph.NewOverlay(g, &scan)
+	edges, err := g.ScanEdges(nil, &scan, nil)
 	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+		t.Fatalf("ScanEdges: %v", err)
 	}
 	cfg := IncrementalConfig{Rounds: 3, LearningRate: 0.025, NegativeSamples: 0, Seed: 5}
-	got, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
+	got, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg)
 	if err != nil {
-		t.Fatalf("EmbedDetachedEgo: %v", err)
+		t.Fatalf("EmbedScan: %v", err)
 	}
 	want := make([]float64, emb.Dim)
 	randomVectorInto(want, sampling.NewFast(sampling.NewSeeder(cfg.Seed).Next()))

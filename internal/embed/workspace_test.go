@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/rfgraph"
 )
 
 // TestWorkspaceReuseParity: a workspace reused across many different scans
-// must reproduce the one-shot EmbedDetachedEgo result bit for bit — no
+// must reproduce a fresh workspace's EmbedScan result bit for bit — no
 // state may leak from one request into the next through the pooled
 // buffers.
 func TestWorkspaceReuseParity(t *testing.T) {
@@ -32,17 +31,17 @@ func TestWorkspaceReuseParity(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := range scans {
 			cfg.Seed = int64(round*10 + i)
-			ov, err := rfgraph.NewOverlay(g, &scans[i])
+			edges, err := g.ScanEdges(nil, &scans[i], nil)
 			if err != nil {
-				t.Fatalf("NewOverlay(%s): %v", scans[i].ID, err)
+				t.Fatalf("ScanEdges(%s): %v", scans[i].ID, err)
 			}
-			fresh, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
+			fresh, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg)
 			if err != nil {
-				t.Fatalf("EmbedDetachedEgo(%s): %v", scans[i].ID, err)
+				t.Fatalf("EmbedScan(%s): %v", scans[i].ID, err)
 			}
-			reused, err := EmbedDetachedEgoInto(ws, ov, emb, ov.Node(), cfg, neg)
+			reused, err := EmbedScan(ws, edges, emb, cfg, neg)
 			if err != nil {
-				t.Fatalf("EmbedDetachedEgoInto(%s): %v", scans[i].ID, err)
+				t.Fatalf("EmbedScan(%s) reused: %v", scans[i].ID, err)
 			}
 			for d := range fresh {
 				if fresh[d] != reused[d] {
@@ -68,14 +67,14 @@ func TestWorkspaceConcurrentIndependence(t *testing.T) {
 		t.Fatalf("NewNegativeSampler: %v", err)
 	}
 	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}, {MAC: "b0", RSS: -64}}}
-	ov, err := rfgraph.NewOverlay(g, &rec)
+	edges, err := g.ScanEdges(nil, &rec, nil)
 	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+		t.Fatalf("ScanEdges: %v", err)
 	}
 	cfg := DefaultIncrementalConfig()
-	want, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
+	want, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg)
 	if err != nil {
-		t.Fatalf("EmbedDetachedEgo: %v", err)
+		t.Fatalf("EmbedScan: %v", err)
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -87,7 +86,7 @@ func TestWorkspaceConcurrentIndependence(t *testing.T) {
 			defer wg.Done()
 			ws := &Workspace{}
 			for i := 0; i < 10; i++ {
-				ego, err := EmbedDetachedEgoInto(ws, ov, emb, ov.Node(), cfg, neg)
+				ego, err := EmbedScan(ws, edges, emb, cfg, neg)
 				if err != nil {
 					errs[w] = err
 					return

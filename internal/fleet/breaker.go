@@ -1,84 +1,40 @@
 package fleet
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// breakerState is the classic three-state circuit.
+// breakerState is a peer circuit's state. The values are the ones the
+// grafics_fleet_breaker_state gauge exports.
 type breakerState int
 
 const (
-	breakerClosed breakerState = iota
-	breakerHalfOpen
-	breakerOpen
+	breakerClosed breakerState = 0
+	breakerOpen   breakerState = 2
 )
 
 func (s breakerState) String() string {
-	switch s {
-	case breakerHalfOpen:
-		return "half-open"
-	case breakerOpen:
+	if s == breakerOpen {
 		return "open"
-	default:
-		return "closed"
 	}
+	return "closed"
 }
 
-// breaker is a per-peer circuit breaker. Closed passes everything and
-// counts consecutive failures; at threshold it opens and sheds the peer
-// (reads route elsewhere, health polls keep probing). After cooldown it
-// half-opens: exactly one in-flight request is admitted as the probe,
-// and its outcome decides between closed and another open interval.
-// Safe for concurrent use.
+// breaker is a per-peer circuit breaker: a count of consecutive failed
+// requests and health polls. At threshold the circuit opens and sheds
+// the peer (reads route elsewhere, health polls keep probing); the next
+// success closes it. Safe for concurrent use.
 type breaker struct {
 	threshold int
-	cooldown  time.Duration
 
 	mu sync.Mutex
 	// grafics:guardedby mu
-	state breakerState
-	// grafics:guardedby mu
 	fails int
-	// grafics:guardedby mu
-	openedAt time.Time
-	// grafics:guardedby mu
-	probing bool
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
+func newBreaker(threshold int) *breaker {
 	if threshold <= 0 {
 		threshold = defaultBreakerThreshold
 	}
-	if cooldown <= 0 {
-		cooldown = defaultHealthInterval
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// allow reports whether a request may be sent to the peer right now.
-// In the open state the first caller after cooldown flips the circuit
-// to half-open and becomes its single probe.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if time.Since(b.openedAt) >= b.cooldown {
-			b.state = breakerHalfOpen
-			b.probing = true
-			return true
-		}
-		return false
-	default: // half-open: single-flight probe
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
+	return &breaker{threshold: threshold}
 }
 
 // record feeds one request outcome (or health-poll result) back into
@@ -86,25 +42,25 @@ func (b *breaker) allow() bool {
 func (b *breaker) record(ok bool) breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
 	if ok {
 		b.fails = 0
-		b.state = breakerClosed
-		return b.state
+	} else {
+		b.fails++
 	}
-	b.fails++
-	if b.state == breakerHalfOpen || b.fails >= b.threshold {
-		if b.state != breakerOpen {
-			b.openedAt = time.Now()
-		}
-		b.state = breakerOpen
-	}
-	return b.state
+	return b.stateLocked()
 }
 
 // current returns the state without side effects.
 func (b *breaker) current() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state
+	return b.stateLocked()
+}
+
+//grafics:locked mu
+func (b *breaker) stateLocked() breakerState {
+	if b.fails >= b.threshold {
+		return breakerOpen
+	}
+	return breakerClosed
 }

@@ -36,7 +36,7 @@ var (
 	scatterSeconds = obs.Default().Histogram("grafics_fleet_scatter_seconds",
 		"Wall time of one read scatter across all groups.", obs.TimeBuckets)
 	breakerStateGauge = obs.Default().GaugeVec("grafics_fleet_breaker_state",
-		"Per-peer circuit breaker state: 0 closed, 1 half-open, 2 open.", "peer")
+		"Per-peer circuit breaker state: 0 closed, 2 open.", "peer")
 	breakerOpensTotal = obs.Default().Counter("grafics_fleet_breaker_opens_total",
 		"Circuit breaker transitions into the open state.")
 	retriesTotal = obs.Default().CounterVec("grafics_fleet_retries_total",

@@ -46,7 +46,8 @@ type RouterOptions struct {
 	RetryBudget int
 	// BreakerThreshold opens a member's circuit breaker after this many
 	// consecutive failures; an open member serves no reads until a
-	// half-open probe succeeds. Default defaultBreakerThreshold.
+	// health poll or request to it succeeds. Default
+	// defaultBreakerThreshold.
 	BreakerThreshold int
 	// Transport substitutes the HTTP transport for every outbound call
 	// (forwards, scatters, health polls). Nil means a clone of
@@ -298,15 +299,13 @@ func (rt *Router) loop(ctx context.Context) {
 	}
 }
 
-// breakerFor returns (lazily creating) the circuit breaker for url. The
-// cooldown tracks the health interval so an open circuit half-opens
-// after a couple of missed polls, with the poll itself as the probe.
+// breakerFor returns (lazily creating) the circuit breaker for url.
 func (rt *Router) breakerFor(url string) *breaker {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	b, ok := rt.breakers[url]
 	if !ok {
-		b = newBreaker(rt.opts.BreakerThreshold, 2*rt.opts.HealthInterval)
+		b = newBreaker(rt.opts.BreakerThreshold)
 		rt.breakers[url] = b
 	}
 	return b
@@ -431,10 +430,6 @@ func (rt *Router) macVersion(url string) uint64 {
 func (rt *Router) pollMember(ctx context.Context, url string, group int) (MemberState, *memberMACs) {
 	prev, _ := rt.member(url)
 	ms := MemberState{URL: url, Group: group, LastSeen: time.Now()}
-	// Polls bypass allow() — they are how an open circuit gets probed —
-	// but allow() is still called to advance open→half-open once the
-	// cooldown has elapsed, so this poll is the half-open probe.
-	rt.breakerFor(url).allow()
 	since := rt.macVersion(url)
 	st, err := NewClientWith(url, rt.opts.HTTPTimeout, rt.opts.Transport).StatusMACs(ctx, since)
 	if ctx.Err() == nil {
@@ -588,8 +583,8 @@ func (rt *Router) promoteGroup(ctx context.Context, gi int, candidates []MemberS
 // undrained followers round-robin first (spreading load off the
 // primary), then a healthy primary, then any healthy member (stale reads
 // beat no reads during a failover window). Members whose circuit
-// breaker is not closed are shed from every pool — their recovery is
-// probed by health polls, not client traffic.
+// breaker is open are shed from every pool — their recovery is probed
+// by health polls, not client traffic.
 func (rt *Router) pickRead(gi int) (string, bool) {
 	return rt.pickReadExcluding(gi, nil)
 }
@@ -1157,13 +1152,14 @@ func (rt *Router) handleFleetPromote(w http.ResponseWriter, r *http.Request) {
 		}
 		gi = v
 	}
-	if gi < 0 && pick != "" {
-		for i, g := range rt.groups {
-			for _, u := range g {
-				if u == pick {
-					gi = i
-				}
-			}
+	if pick != "" {
+		mg := rt.groupOf(pick)
+		if mg < 0 {
+			writeJSONError(w, http.StatusNotFound, fmt.Errorf("fleet: unknown member %q", pick))
+			return
+		}
+		if gi < 0 {
+			gi = mg
 		}
 	}
 	if gi < 0 {
@@ -1191,23 +1187,35 @@ func (rt *Router) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, errors.New("fleet: drain needs ?member="))
 		return
 	}
-	known := false
-	for _, g := range rt.groups {
-		for _, u := range g {
-			if u == member {
-				known = true
-			}
+	undo := false
+	if raw := r.URL.Query().Get("undo"); raw != "" {
+		v, err := strconv.ParseBool(raw)
+		if err != nil {
+			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("fleet: drain: query undo: %w", err))
+			return
 		}
+		undo = v
 	}
-	if !known {
+	if rt.groupOf(member) < 0 {
 		writeJSONError(w, http.StatusNotFound, fmt.Errorf("fleet: unknown member %q", member))
 		return
 	}
-	undo := r.URL.Query().Get("undo") == "true"
 	rt.mu.Lock()
 	rt.drained[member] = !undo
 	rt.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"member": member, "drained": !undo})
+}
+
+// groupOf returns the index of the group member belongs to, or -1.
+func (rt *Router) groupOf(member string) int {
+	for gi, g := range rt.groups {
+		for _, u := range g {
+			if u == member {
+				return gi
+			}
+		}
+	}
+	return -1
 }
 
 // relay copies a node's raw response through.

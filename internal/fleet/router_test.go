@@ -571,6 +571,50 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	}
 }
 
+// TestRouterAdminQueries: drain's ?undo= parses like every boolean query
+// (undo=1 restores rotation, a malformed value is a 400 that changes
+// nothing), and promoting a member in no group is a 404, as draining one
+// is.
+func TestRouterAdminQueries(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(ReplStatus{ReplInfo: server.ReplInfo{Role: string(RolePrimary), Ready: true}})
+	}))
+	defer node.Close()
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rt)
+	defer srv.Close()
+	post := func(query string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+query, "", nil)
+		if err != nil {
+			t.Fatalf("POST %s: %v", query, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	drained := func() bool {
+		t.Helper()
+		return rt.fleetStatus().Groups[0].Members[0].Drained
+	}
+	drain := "/v2/admin/fleet/drain?member=" + node.URL
+	if got := post(drain); got != http.StatusOK || !drained() {
+		t.Fatalf("drain: status %d drained %v, want 200 and drained", got, drained())
+	}
+	if got := post(drain + "&undo=1"); got != http.StatusOK || drained() {
+		t.Errorf("undo=1: status %d drained %v, want 200 and back in rotation", got, drained())
+	}
+	post(drain)
+	if got := post(drain + "&undo=maybe"); got != http.StatusBadRequest || !drained() {
+		t.Errorf("undo=maybe: status %d drained %v, want 400 and still drained", got, drained())
+	}
+	if got := post("/v2/admin/fleet/promote?member=http://127.0.0.1:1"); got != http.StatusNotFound {
+		t.Errorf("promote unknown member: status %d, want 404", got)
+	}
+}
+
 // TestRouterRelaysRetryAfter: a node's Retry-After (a 429 from its
 // admission gate, a 503 from a degraded journal) reaches the client
 // behind the router on both the read and the write path, so the client

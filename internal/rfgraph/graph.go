@@ -71,7 +71,8 @@ var (
 )
 
 // Graph is the weighted bipartite graph. It is not safe for concurrent
-// mutation; embedding trainers take a read-only view.
+// mutation; its read methods are safe for concurrent use between
+// mutations.
 type Graph struct {
 	weightFn WeightFunc
 
@@ -223,6 +224,23 @@ func (g *Graph) addEdge(a, b NodeID, w float64) {
 	g.liveEdges++
 }
 
+// bestRSS fills best, which must be empty, with the strongest RSS of each
+// MAC in rec, and checks that the weight function maps every one of them
+// — known MAC or not — to a usable edge weight.
+func (g *Graph) bestRSS(rec *dataset.Record, best map[string]float64) error {
+	for _, rd := range rec.Readings {
+		if cur, ok := best[rd.MAC]; !ok || rd.RSS > cur {
+			best[rd.MAC] = rd.RSS
+		}
+	}
+	for _, rd := range rec.Readings {
+		if w := g.weightFn(best[rd.MAC]); w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("%w: f(%v) = %v for MAC %q", ErrBadWeight, best[rd.MAC], w, rd.MAC)
+		}
+	}
+	return nil
+}
+
 // AddRecord inserts a record node and its MAC edges. Duplicate readings of
 // the same MAC within one record keep the strongest RSS. It returns the new
 // record's node ID.
@@ -233,17 +251,10 @@ func (g *Graph) AddRecord(rec *dataset.Record) (NodeID, error) {
 	if _, dup := g.recordIndex[rec.ID]; dup {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateRecord, rec.ID)
 	}
-	best := make(map[string]float64, len(rec.Readings))
-	for _, rd := range rec.Readings {
-		if cur, ok := best[rd.MAC]; !ok || rd.RSS > cur {
-			best[rd.MAC] = rd.RSS
-		}
-	}
 	// Validate weights before mutating the graph so failures are atomic.
-	for _, rd := range rec.Readings {
-		if w := g.weightFn(best[rd.MAC]); w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return 0, fmt.Errorf("%w: f(%v) = %v for MAC %q", ErrBadWeight, best[rd.MAC], g.weightFn(best[rd.MAC]), rd.MAC)
-		}
+	best := make(map[string]float64, len(rec.Readings))
+	if err := g.bestRSS(rec, best); err != nil {
+		return 0, err
 	}
 	vid := g.newNode(KindRecord, rec.ID)
 	g.recordIndex[rec.ID] = vid
@@ -257,6 +268,38 @@ func (g *Graph) AddRecord(rec *dataset.Record) (NodeID, error) {
 		g.addEdge(mid, vid, g.weightFn(rss))
 	}
 	return vid, nil
+}
+
+// ScanEdges returns the edges AddRecord would give rec, in the same order
+// and after the same validation, less those to MACs the graph has never
+// seen, and writes nothing to the graph: the whole of a scan that online
+// inference needs. The edges are appended to dst[:0]; best is the RSS
+// dedup scratch, cleared before use (nil allocates one). A scan with no
+// known MAC yields no edges and no error.
+func (g *Graph) ScanEdges(dst []Halfedge, rec *dataset.Record, best map[string]float64) ([]Halfedge, error) {
+	dst = dst[:0]
+	if len(rec.Readings) == 0 {
+		return dst, fmt.Errorf("%w: %q", ErrEmptyRecord, rec.ID)
+	}
+	if best == nil {
+		best = make(map[string]float64, len(rec.Readings))
+	} else {
+		clear(best)
+	}
+	if err := g.bestRSS(rec, best); err != nil {
+		return dst, err
+	}
+	for _, rd := range rec.Readings {
+		rss, ok := best[rd.MAC]
+		if !ok {
+			continue // already consumed by the dedup pass
+		}
+		delete(best, rd.MAC)
+		if mid, ok := g.macIndex[rd.MAC]; ok {
+			dst = append(dst, Halfedge{To: mid, Weight: g.weightFn(rss)})
+		}
+	}
+	return dst, nil
 }
 
 // AddRecords inserts many records, returning the node ID of each.

@@ -35,15 +35,16 @@
 //
 // # Concurrency
 //
-// Every classify route is read-only against the trained models: core's
-// snapshot-overlay inference takes only a shared read lock, so the
-// net/http goroutine-per-request model gives near-linear scaling with
-// cores out of the box — no serialization on a model mutex. The batch
-// route additionally fans one request's scans out over a worker pool
-// (portfolio.ClassifyRoutedBatch), which keeps a single bulk client
-// saturating the machine without having to pipeline its own HTTP
-// requests. Request contexts propagate into the classification layer, so
-// timeouts and client disconnects abort in-flight batches promptly.
+// Every classify route is read-only against the trained models: core
+// embeds a scan from its edges into the frozen graph under only a shared
+// read lock, so the net/http goroutine-per-request model gives
+// near-linear scaling with cores out of the box — no serialization on a
+// model mutex. The batch route additionally fans one request's scans out
+// over a worker pool (portfolio.ClassifyRoutedBatch), which keeps a
+// single bulk client saturating the machine without having to pipeline
+// its own HTTP requests. Request contexts propagate into the
+// classification layer, so timeouts and client disconnects abort
+// in-flight batches promptly.
 package server
 
 import (
@@ -58,6 +59,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/lifecycle"
 	"repro/internal/portfolio"
+	"repro/internal/rfgraph"
 	"repro/internal/wal"
 )
 
@@ -226,6 +228,11 @@ func predictStatus(err error) int {
 	case errors.Is(err, portfolio.ErrUnattributable),
 		errors.Is(err, core.ErrOutOfBuilding):
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, rfgraph.ErrBadWeight):
+		// A reading whose RSS maps to no usable edge weight (at or below
+		// -120 dBm under the default f) is the client's input, not a
+		// server fault.
+		return http.StatusBadRequest
 	case errors.Is(err, portfolio.ErrAmbiguousMatch):
 		return http.StatusConflict
 	case errors.Is(err, ErrReadOnly):

@@ -392,6 +392,41 @@ func TestPredictBadRequests(t *testing.T) {
 	}
 }
 
+// TestPredictBadWeight: a reading whose RSS the weight function maps to
+// a non-positive edge weight is the client's error on both routes, a 400
+// rather than a 500 (which a router would retry elsewhere and count
+// against the node's breaker), even when only an unknown MAC carries it,
+// and nothing is absorbed.
+func TestPredictBadWeight(t *testing.T) {
+	srv, tests := testServer(t)
+	var known string
+	for _, recs := range tests {
+		known = recs[0].Readings[0].MAC
+		break
+	}
+	before := getStats(t, srv.URL)
+	for _, tt := range []struct {
+		name, route string
+		readings    []dataset.Reading
+	}{
+		{"classify", "/v2/classify", []dataset.Reading{{MAC: known, RSS: -130}}},
+		{"absorb", "/v2/absorb", []dataset.Reading{{MAC: known, RSS: -130}}},
+		{"unknown MAC", "/v2/classify", []dataset.Reading{{MAC: known, RSS: -60}, {MAC: "ff:ff:ff:ff:ff:02", RSS: -500}}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			resp := postJSON(t, srv.URL+tt.route, dataset.Record{ID: "weak", Readings: tt.readings})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("status = %d, want 400", resp.StatusCode)
+			}
+		})
+	}
+	after := getStats(t, srv.URL)
+	if after.Records != before.Records || after.MACs != before.MACs || after.Edges != before.Edges {
+		t.Errorf("stats %d/%d/%d -> %d/%d/%d, want unchanged",
+			before.Records, before.MACs, before.Edges, after.Records, after.MACs, after.Edges)
+	}
+}
+
 func TestMethodRouting(t *testing.T) {
 	srv, _ := testServer(t)
 	resp, err := http.Get(srv.URL + "/v2/classify")
