@@ -22,16 +22,14 @@ import (
 )
 
 // classifyWorkspace is the pooled per-request scratch of a classification:
-// the MAC dedup set, the RSS dedup map and edge list of the scan, the
-// scan-embedding buffers, and the per-floor reduction arrays. Pooling it
-// makes the read-only Classify path allocation-free apart from the Result
-// itself.
+// the dedup scratch and edge list of the scan, the scan-embedding
+// buffers, and the per-floor reduction arrays. Pooling it makes the
+// read-only Classify path allocation-free apart from the Result itself.
 // A workspace carries no model state — every field is rebuilt from the
 // current snapshot on use — so the pool is safely shared across Systems,
 // absorbs, and hot swaps.
 type classifyWorkspace struct {
-	seen         map[string]struct{}
-	best         map[string]float64
+	scan         rfgraph.ScanScratch
 	edges        []rfgraph.Halfedge
 	embed        embed.Workspace
 	floorDist    []float64
@@ -41,9 +39,7 @@ type classifyWorkspace struct {
 	clk obs.StageClock
 }
 
-var classifyPool = sync.Pool{New: func() any {
-	return &classifyWorkspace{seen: make(map[string]struct{}, 32), best: make(map[string]float64, 32)}
-}}
+var classifyPool = sync.Pool{New: func() any { return new(classifyWorkspace) }}
 
 // Classifier is the context-first classification contract. Both System
 // (one building) and portfolio.Portfolio (a fleet, with MAC-overlap
@@ -351,9 +347,9 @@ func (s *System) incrementalFor(o options, seq int64) embed.IncrementalConfig {
 	return inc
 }
 
-// embedScanRLocked runs the read-only half of the §V pipeline: check MAC
-// overlap, collect the scan's edges into the frozen graph
-// (rfgraph.Graph.ScanEdges), and embed the scan against the frozen model
+// embedScanRLocked runs the read-only half of the §V pipeline: collect
+// the scan's edges into the frozen graph (rfgraph.Graph.ScanEdges), check
+// MAC overlap, and embed the scan against the frozen model
 // (embed.EmbedScan). Both compute into ws's pooled buffers; the returned
 // ego vector is owned by ws and valid only until its next use. The
 // caller holds at least s.mu.RLock; no shared state is written.
@@ -364,16 +360,15 @@ func (s *System) embedScanRLocked(rec *dataset.Record, o options, ws *classifyWo
 	if !s.trained {
 		return nil, ErrNotTrained
 	}
-	// Check MAC overlap before the edge validation so degenerate scans
-	// (empty, or sharing no MAC with training data) surface as
-	// ErrOutOfBuilding exactly as the write path reports them. Footnote 1
-	// of the paper: a sample containing only never-seen MACs was likely
-	// collected outside the building.
-	if s.knownMACsInto(rec, ws.seen) == 0 {
+	edges, err := s.graph.ScanEdges(ws.edges, rec, &ws.scan)
+	ws.edges = edges
+	// A scan sharing no MAC with the building (empty, or only never-seen
+	// MACs) is ErrOutOfBuilding, ahead of any bad reading, exactly as the
+	// write path reports it. Footnote 1 of the paper: a sample containing
+	// only never-seen MACs was likely collected outside the building.
+	if len(edges) == 0 && (err == nil || !s.knowsMAC(rec)) {
 		return nil, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
 	}
-	edges, err := s.graph.ScanEdges(ws.edges, rec, ws.best)
-	ws.edges = edges
 	if err != nil {
 		return nil, fmt.Errorf("core: scan edges: %w", err)
 	}
@@ -461,7 +456,7 @@ func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o opti
 	if !s.trained {
 		return Result{}, ErrNotTrained
 	}
-	if s.knownMACs(rec) == 0 {
+	if !s.knowsMAC(rec) {
 		return Result{}, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
 	}
 	seq := s.predictSeq.Add(1)

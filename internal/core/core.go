@@ -325,32 +325,16 @@ func (s *System) Trained() bool {
 	return s.trained
 }
 
-// knownMACs counts the record's readings whose MAC already has a node.
+// knowsMAC reports whether any of the record's MACs has a node.
 //
 //grafics:rlocked mu
-func (s *System) knownMACs(rec *dataset.Record) int {
-	return s.knownMACsInto(rec, make(map[string]struct{}, len(rec.Readings)))
-}
-
-// knownMACsInto is knownMACs with a caller-owned dedup set, so the pooled
-// classification path skips the per-request map allocation. seen is
-// cleared before use.
-//
-//grafics:rlocked mu
-//grafics:hotpath
-func (s *System) knownMACsInto(rec *dataset.Record, seen map[string]struct{}) int {
-	clear(seen)
-	n := 0
+func (s *System) knowsMAC(rec *dataset.Record) bool {
 	for _, rd := range rec.Readings {
-		if _, dup := seen[rd.MAC]; dup {
-			continue
-		}
-		seen[rd.MAC] = struct{}{}
 		if _, ok := s.graph.MACNode(rd.MAC); ok {
-			n++
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // HasMAC reports whether the graph currently holds a node for mac.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/metrics"
+	"repro/internal/rfgraph"
 	"repro/internal/simulate"
 )
 
@@ -155,6 +156,37 @@ func TestOutOfBuilding(t *testing.T) {
 	}
 	if _, err := s.Classify(context.Background(), &alien, WithAbsorb()); !errors.Is(err, ErrOutOfBuilding) {
 		t.Errorf("alien absorb = %v, want ErrOutOfBuilding", err)
+	}
+}
+
+// TestOutOfBuildingBeatsBadWeight: a scan that shares no MAC with the
+// building is ErrOutOfBuilding even when one of its readings has an
+// unusable weight, on both entry points; the same bad reading beside a
+// known MAC is the weight error.
+func TestOutOfBuildingBeatsBadWeight(t *testing.T) {
+	train, _ := campusSplit(t, 30, 4, 4)
+	s := New(fastConfig())
+	if err := s.AddTraining(train); err != nil {
+		t.Fatalf("AddTraining: %v", err)
+	}
+	if err := s.Fit(); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	alien := dataset.Record{ID: "alien", Readings: []dataset.Reading{
+		{MAC: "never-seen-1", RSS: -50},
+		{MAC: "never-seen-2", RSS: -500},
+	}}
+	for _, opts := range [][]Option{nil, {WithAbsorb()}} {
+		if _, err := s.Classify(context.Background(), &alien, opts...); !errors.Is(err, ErrOutOfBuilding) || errors.Is(err, rfgraph.ErrBadWeight) {
+			t.Errorf("alien scan with a -500 dBm reading (%d options) = %v, want ErrOutOfBuilding", len(opts), err)
+		}
+	}
+	known := dataset.Record{ID: "known", Readings: []dataset.Reading{
+		train[0].Readings[0],
+		{MAC: "never-seen-2", RSS: -500},
+	}}
+	if _, err := s.Classify(context.Background(), &known); !errors.Is(err, rfgraph.ErrBadWeight) {
+		t.Errorf("known MAC beside a -500 dBm reading = %v, want ErrBadWeight", err)
 	}
 }
 

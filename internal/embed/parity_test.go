@@ -318,7 +318,9 @@ func referenceOnline(t *testing.T, g *rfgraph.Graph, emb *Embedding, scan *datas
 // the production classify step equals referenceOnline for scans with a
 // duplicate reading, a never-seen MAC, cross-floor MACs, and a MAC the
 // graph gained after training (no trained row: no start-vector weight,
-// no positive term), at dim 8 (fused kernel) and dim 5 (generic path).
+// no positive term), at dim 8 (fused kernel) and dim 5 (generic path),
+// with the default round budget and with 20 rounds, so the multi-round
+// loop stays pinned whatever the default.
 func TestOnlineMatchesSerialReference(t *testing.T) {
 	scans := []dataset.Record{
 		{ID: "floor0", Readings: []dataset.Reading{{MAC: "a0", RSS: -55}, {MAC: "a3", RSS: -60}, {MAC: "a5", RSS: -70}}},
@@ -348,15 +350,19 @@ func TestOnlineMatchesSerialReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewNegativeSampler: %v", err)
 		}
-		for i := range scans {
-			for _, seed := range []int64{1, 7, 1 << 40} {
-				inc := DefaultIncrementalConfig()
-				inc.Seed = seed
-				want := referenceOnline(t, g, emb, &scans[i], inc)
-				got := onlineEgo(t, g, emb, neg, &scans[i], inc)
-				for d := range want {
-					if got[d] != want[d] {
-						t.Fatalf("dim %d scan %s seed %d: ego[%d] = %v, reference %v", dim, scans[i].ID, seed, d, got[d], want[d])
+		for _, rounds := range []int{DefaultIncrementalConfig().Rounds, 20} {
+			for i := range scans {
+				for _, seed := range []int64{1, 7, 1 << 40} {
+					inc := DefaultIncrementalConfig()
+					inc.Rounds = rounds
+					inc.Seed = seed
+					want := referenceOnline(t, g, emb, &scans[i], inc)
+					got := onlineEgo(t, g, emb, neg, &scans[i], inc)
+					for d := range want {
+						if got[d] != want[d] {
+							t.Fatalf("dim %d, %d rounds, scan %s seed %d: ego[%d] = %v, reference %v",
+								dim, rounds, scans[i].ID, seed, d, got[d], want[d])
+						}
 					}
 				}
 			}

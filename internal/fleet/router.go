@@ -781,27 +781,19 @@ func bestOutcome(outcomes []scatterOutcome) *scatterOutcome {
 }
 
 // handleClassify serves POST /v2/classify and /v2/absorb (path). The
-// router decodes the scan only to validate it and read its MACs; the
-// node gets the body as received, on the same route.
+// router decodes the scan with the node's decoder (server.DecodeScan),
+// to refuse what a node refuses and to read its MACs; the node gets the
+// body as received, on the same route.
 func (rt *Router) handleClassify(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		var req server.ClassifyRequest
-		if err == nil {
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			err = dec.Decode(&req)
-		}
+		var body bytes.Buffer
+		req, status, err := server.DecodeScan(w, r, &body)
 		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decode scan: %w", err))
-			return
-		}
-		if len(req.Readings) == 0 {
-			writeJSONError(w, http.StatusBadRequest, errors.New("scan has no readings"))
+			writeJSONError(w, status, err)
 			return
 		}
 		req.Absorb = req.Absorb || path == "/v2/absorb"
-		rt.routeClassify(r.Context(), w, &req, path, body)
+		rt.routeClassify(r.Context(), w, &req, path, body.Bytes())
 	}
 }
 

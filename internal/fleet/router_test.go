@@ -690,3 +690,45 @@ func TestRouterBatchRejectsWhatANodeRejects(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterScanRejectsWhatANodeRejects: the router decodes a single
+// scan with the node's decoder, so a scan a node refuses on /v2/classify
+// or /v2/absorb is refused at the router with the same status rather
+// than routed.
+func TestRouterScanRejectsWhatANodeRejects(t *testing.T) {
+	p := portfolio.New(core.Config{})
+	node := httptest.NewServer(server.NewHandler(p, p, server.Options{}))
+	defer node.Close()
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{node.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	router := httptest.NewServer(rt)
+	defer router.Close()
+	scan := `{"id":"x","readings":[{"mac":"aa:bb:cc:dd:ee:01","rss":-60}]}`
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"unknown field", `{"id":"x","bogus":1,"readings":[{"mac":"aa:bb:cc:dd:ee:01","rss":-60}]}`, http.StatusBadRequest},
+		{"trailing bytes", scan + `{"id":"y"}`, http.StatusBadRequest},
+		{"over-limit body", `{"id":"` + strings.Repeat("A", 2<<20) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		for _, path := range []string{"/v2/classify", "/v2/absorb"} {
+			t.Run(tc.name+" on "+strings.TrimPrefix(path, "/v2/"), func(t *testing.T) {
+				for _, target := range []struct{ name, url string }{{"node", node.URL}, {"router", router.URL}} {
+					resp, err := http.Post(target.url+path, "application/json", strings.NewReader(tc.body))
+					if err != nil {
+						t.Fatalf("POST to the %s: %v", target.name, err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != tc.want {
+						t.Errorf("%s: status %d, want %d", target.name, resp.StatusCode, tc.want)
+					}
+				}
+			})
+		}
+	}
+}

@@ -25,13 +25,15 @@ var (
 )
 
 // InstrumentHandler wraps one route's handler with the HTTP
-// instruments: it resolves the route's latency histogram once, adopts
+// instruments: it resolves the route's latency histogram and its 200
+// counter once, so a 200 counts without the family's lock, adopts
 // the caller's trace (X-Grafics-Trace) or mints one, echoes the ID on
 // the response, and records latency/status/in-flight around the call.
 // The request log is emitted at debug level — silent under the default
 // logger, captured in tests and verbose deployments via SetLogger.
 func InstrumentHandler(route string, h http.HandlerFunc) http.HandlerFunc {
 	lat := httpLatency.With(route)
+	ok200 := httpRequests.With(route, "200")
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		httpInFlight.Add(1)
@@ -55,7 +57,11 @@ func InstrumentHandler(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		dur := time.Since(start)
 		lat.Observe(dur.Seconds())
-		httpRequests.With(route, strconv.Itoa(code)).Inc()
+		if code == http.StatusOK {
+			ok200.Inc()
+		} else {
+			httpRequests.With(route, strconv.Itoa(code)).Inc()
+		}
 		if lg := Logger(); lg.Enabled(r.Context(), slog.LevelDebug) {
 			lg.LogAttrs(r.Context(), slog.LevelDebug, "http request",
 				slog.String("trace", tr.ID),

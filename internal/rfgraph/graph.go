@@ -234,12 +234,15 @@ func (g *Graph) bestRSS(rec *dataset.Record, best map[string]float64) error {
 		}
 	}
 	for _, rd := range rec.Readings {
-		if w := g.weightFn(best[rd.MAC]); w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		if w := g.weightFn(best[rd.MAC]); badWeight(w) {
 			return fmt.Errorf("%w: f(%v) = %v for MAC %q", ErrBadWeight, best[rd.MAC], w, rd.MAC)
 		}
 	}
 	return nil
 }
+
+// badWeight reports whether w is unusable as an edge weight.
+func badWeight(w float64) bool { return w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) }
 
 // AddRecord inserts a record node and its MAC edges. Duplicate readings of
 // the same MAC within one record keep the strongest RSS. It returns the new
@@ -270,34 +273,70 @@ func (g *Graph) AddRecord(rec *dataset.Record) (NodeID, error) {
 	return vid, nil
 }
 
+// ScanScratch is the reusable state of ScanEdges: a sparse set over node
+// IDs that finds a known MAC's edge in O(1) without being cleared, and
+// the strongest RSS of each MAC the graph has never seen. The zero value
+// is ready to use. Concurrent calls need one each; one serves graphs of
+// any size in turn.
+type ScanScratch struct {
+	// slot[id] is the index of MAC node id's edge in the scan being
+	// collected, when that edge's To is id; any other value is stale.
+	slot []int32
+	best map[string]float64
+}
+
 // ScanEdges returns the edges AddRecord would give rec, in the same order
 // and after the same validation, less those to MACs the graph has never
 // seen, and writes nothing to the graph: the whole of a scan that online
-// inference needs. The edges are appended to dst[:0]; best is the RSS
-// dedup scratch, cleared before use (nil allocates one). A scan with no
-// known MAC yields no edges and no error.
-func (g *Graph) ScanEdges(dst []Halfedge, rec *dataset.Record, best map[string]float64) ([]Halfedge, error) {
+// inference needs. The edges are appended to dst[:0]; sc is the dedup
+// scratch (nil allocates one). Each reading's MAC is looked up once. A
+// scan with no known MAC yields no edges and no error; on error the
+// edges are empty.
+func (g *Graph) ScanEdges(dst []Halfedge, rec *dataset.Record, sc *ScanScratch) ([]Halfedge, error) {
 	dst = dst[:0]
 	if len(rec.Readings) == 0 {
 		return dst, fmt.Errorf("%w: %q", ErrEmptyRecord, rec.ID)
 	}
-	if best == nil {
-		best = make(map[string]float64, len(rec.Readings))
-	} else {
-		clear(best)
+	if sc == nil {
+		sc = new(ScanScratch)
 	}
-	if err := g.bestRSS(rec, best); err != nil {
-		return dst, err
+	if n := len(g.kinds); len(sc.slot) < n {
+		sc.slot = make([]int32, n+n/4) // headroom for absorbs to come
 	}
+	clear(sc.best)
+	// Collect each MAC's strongest RSS: a known MAC's in its edge, whose
+	// weight holds the RSS until the pass ends, a never-seen MAC's in best.
 	for _, rd := range rec.Readings {
-		rss, ok := best[rd.MAC]
-		if !ok {
-			continue // already consumed by the dedup pass
+		mid, known := g.macIndex[rd.MAC]
+		if !known {
+			if sc.best == nil {
+				sc.best = make(map[string]float64)
+			}
+			if cur, ok := sc.best[rd.MAC]; !ok || rd.RSS > cur {
+				sc.best[rd.MAC] = rd.RSS
+			}
+			continue
 		}
-		delete(best, rd.MAC)
-		if mid, ok := g.macIndex[rd.MAC]; ok {
-			dst = append(dst, Halfedge{To: mid, Weight: g.weightFn(rss)})
+		if e := sc.slot[mid]; int(e) < len(dst) && dst[e].To == mid {
+			if rd.RSS > dst[e].Weight {
+				dst[e].Weight = rd.RSS
+			}
+			continue
 		}
+		sc.slot[mid] = int32(len(dst))
+		dst = append(dst, Halfedge{To: mid, Weight: rd.RSS})
+	}
+	bad := false
+	for e := range dst {
+		dst[e].Weight = g.weightFn(dst[e].Weight)
+		bad = bad || badWeight(dst[e].Weight)
+	}
+	for _, rss := range sc.best {
+		bad = bad || badWeight(g.weightFn(rss))
+	}
+	if bad {
+		// Rare: name the first bad reading exactly as AddRecord does.
+		return dst[:0], g.bestRSS(rec, make(map[string]float64, len(rec.Readings)))
 	}
 	return dst, nil
 }

@@ -2,6 +2,9 @@ package rfgraph
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -118,7 +121,7 @@ func TestScanEdgesErrors(t *testing.T) {
 
 // TestScanEdgesReusedScratch: reused (pooled) edge and dedup scratch must
 // give what fresh scratch gives for every scan, including after an error
-// left the scratch mid-use.
+// left the scratch mid-use, and one scratch serves graphs of any size.
 func TestScanEdgesReusedScratch(t *testing.T) {
 	g := scanBase(t)
 	scans := []dataset.Record{
@@ -127,11 +130,11 @@ func TestScanEdgesReusedScratch(t *testing.T) {
 		{ID: "s2", Readings: []dataset.Reading{{MAC: "m0", RSS: -58}, {MAC: "m0", RSS: -49}, {MAC: "unknown", RSS: -60}}},
 	}
 	var reused []Halfedge
-	best := map[string]float64{}
+	var sc ScanScratch
 	for round := 0; round < 2; round++ {
 		for i := range scans {
 			var err error
-			reused, err = g.ScanEdges(reused, &scans[i], best)
+			reused, err = g.ScanEdges(reused, &scans[i], &sc)
 			if err != nil {
 				t.Fatalf("ScanEdges(%s) reused: %v", scans[i].ID, err)
 			}
@@ -150,8 +153,146 @@ func TestScanEdgesReusedScratch(t *testing.T) {
 		}
 		// An error mid-stream must not poison later calls.
 		bad := dataset.Record{ID: "bad", Readings: []dataset.Reading{{MAC: "m1", RSS: -20}, {MAC: "m2", RSS: -300}}}
-		if _, err := g.ScanEdges(reused, &bad, best); err == nil {
+		if _, err := g.ScanEdges(reused, &bad, &sc); err == nil {
 			t.Fatal("ScanEdges with a bad weight should fail")
+		}
+	}
+	// The same scratch, carrying stale slots, on random graphs larger and
+	// smaller than the last, against the map-based reference.
+	rng := rand.New(rand.NewSource(3))
+	for _, macs := range []int{60, 5, 30} {
+		g := randomScanGraph(t, rng, nil, macs)
+		for i := 0; i < 200; i++ {
+			scan := randomScan(rng, i, macs)
+			want, wantErr := refScanEdges(g, &scan)
+			var err error
+			reused, err = g.ScanEdges(reused, &scan, &sc)
+			if diff := sameScanEdges(reused, err, want, wantErr); diff != "" {
+				t.Fatalf("%d MACs, scan %+v: %s", macs, scan, diff)
+			}
+		}
+	}
+}
+
+// refScanEdges is the map-based ScanEdges that ScanEdges replaced, kept
+// as the reference its single-lookup rewrite must match: a strongest-RSS
+// map over every reading, a validation pass over every reading, then one
+// edge per known MAC in first-occurrence order.
+func refScanEdges(g *Graph, rec *dataset.Record) ([]Halfedge, error) {
+	if len(rec.Readings) == 0 {
+		return nil, fmt.Errorf("%w: %q", ErrEmptyRecord, rec.ID)
+	}
+	best := make(map[string]float64, len(rec.Readings))
+	for _, rd := range rec.Readings {
+		if cur, ok := best[rd.MAC]; !ok || rd.RSS > cur {
+			best[rd.MAC] = rd.RSS
+		}
+	}
+	for _, rd := range rec.Readings {
+		if w := g.weightFn(best[rd.MAC]); w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("%w: f(%v) = %v for MAC %q", ErrBadWeight, best[rd.MAC], w, rd.MAC)
+		}
+	}
+	var out []Halfedge
+	for _, rd := range rec.Readings {
+		rss, ok := best[rd.MAC]
+		if !ok {
+			continue
+		}
+		delete(best, rd.MAC)
+		if mid, ok := g.MACNode(rd.MAC); ok {
+			out = append(out, Halfedge{To: mid, Weight: g.weightFn(rss)})
+		}
+	}
+	return out, nil
+}
+
+// randomScanGraph builds a graph over MACs m0..m<macs-1> from random
+// records and retires a few MACs, so scans can name known, retired and
+// never-seen MACs.
+func randomScanGraph(t *testing.T, rng *rand.Rand, weightFn WeightFunc, macs int) *Graph {
+	t.Helper()
+	g := New(weightFn)
+	for r := 0; r < 3*macs; r++ {
+		rec := dataset.Record{ID: fmt.Sprintf("r%d", r)}
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			rec.Readings = append(rec.Readings, dataset.Reading{MAC: fmt.Sprintf("m%d", rng.Intn(macs)), RSS: -30 - 60*rng.Float64()})
+		}
+		if _, err := g.AddRecord(&rec); err != nil {
+			t.Fatalf("AddRecord: %v", err)
+		}
+	}
+	for k := 0; k < macs/8; k++ {
+		_ = g.RemoveMAC(fmt.Sprintf("m%d", rng.Intn(macs)))
+	}
+	return g
+}
+
+// randomScan draws a scan over MACs the graph knows, MACs it retired,
+// and MACs it never saw (x*), with duplicate readings, a rare RSS whose
+// weight is unusable under f(RSS) = RSS + 120, and a rare NaN.
+func randomScan(rng *rand.Rand, id, macs int) dataset.Record {
+	scan := dataset.Record{ID: fmt.Sprintf("s%d", id)}
+	for k := rng.Intn(12); k > 0; k-- {
+		mac := fmt.Sprintf("m%d", rng.Intn(macs+macs/2))
+		if rng.Intn(5) == 0 {
+			mac = fmt.Sprintf("x%d", rng.Intn(4))
+		}
+		rss := -20 - 95*rng.Float64()
+		switch rng.Intn(40) {
+		case 0:
+			rss = -121 - 400*rng.Float64()
+		case 1:
+			rss = math.NaN()
+		}
+		scan.Readings = append(scan.Readings, dataset.Reading{MAC: mac, RSS: rss})
+		if rng.Intn(4) == 0 { // repeat an earlier reading's MAC
+			prev := scan.Readings[rng.Intn(len(scan.Readings))]
+			scan.Readings = append(scan.Readings, dataset.Reading{MAC: prev.MAC, RSS: -20 - 95*rng.Float64()})
+		}
+	}
+	return scan
+}
+
+// sameScanEdges reports how got differs from the reference's answer
+// for one scan, or "" when the edges and error text are identical.
+func sameScanEdges(got []Halfedge, gotErr error, want []Halfedge, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		return fmt.Sprintf("error %v, reference %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("edges %+v, reference %+v", got, want)
+	}
+	for e := range want {
+		if got[e] != want[e] {
+			return fmt.Sprintf("edge %d = %+v, reference %+v", e, got[e], want[e])
+		}
+	}
+	return ""
+}
+
+// TestScanEdgesMatchesMapReference: over random graphs and scans —
+// duplicates, never-seen and retired MACs, unusable weights on known
+// and unknown MACs, NaN readings — ScanEdges returns exactly the
+// reference's edges and error text, under the paper's offset weight and
+// under a weight that is not monotone in RSS.
+func TestScanEdgesMatchesMapReference(t *testing.T) {
+	bumpy := func(rss float64) float64 { return math.Abs(math.Sin(rss/7)) * (rss + 120) }
+	for _, weightFn := range []WeightFunc{nil, bumpy} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			macs := 4 + rng.Intn(40)
+			g := randomScanGraph(t, rng, weightFn, macs)
+			var dst []Halfedge
+			for i := 0; i < 200; i++ {
+				scan := randomScan(rng, i, macs)
+				want, wantErr := refScanEdges(g, &scan)
+				var err error
+				dst, err = g.ScanEdges(dst, &scan, nil)
+				if diff := sameScanEdges(dst, err, want, wantErr); diff != "" {
+					t.Fatalf("seed %d scan %+v: %s", seed, scan, diff)
+				}
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -199,18 +200,20 @@ func toClassifyResponse(id string, routed *portfolio.Routed, absorbed bool) Clas
 
 // classifyV2 serves POST /v2/classify and POST /v2/absorb (the latter
 // forces the absorb option, making the write intent explicit in the
-// route).
+// route). The body is read into a pooled buffer; the request keeps
+// copies of its strings, so the buffer goes back when the handler ends.
 func classifyV2(rt Router, gate *absorbGate, forceAbsorb bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req ClassifyRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode scan: %w", err))
-			return
-		}
-		if len(req.Readings) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("scan has no readings"))
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledBody {
+				buf.Reset()
+				bodyPool.Put(buf)
+			}
+		}()
+		req, status, err := DecodeScan(w, r, buf)
+		if err != nil {
+			writeError(w, status, err)
 			return
 		}
 		absorb := req.Absorb || forceAbsorb
