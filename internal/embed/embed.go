@@ -20,9 +20,10 @@
 // goroutine. The written contract — what is reproducible and what CI
 // pins — lives in docs/determinism.md.
 //
-// The innermost update reuses the dim-8 unrolled kernels that power the
-// online path, so the paper's 8-dimensional configuration takes a fused
-// allocation-free fast path (see sgdUpdate8).
+// At the paper's dim 8, E-LINE applies each sample in one call to an AVX2
+// kernel (elineStep8) where the CPU has AVX2, and otherwise with the
+// unrolled Go kernel sgdUpdate8; both give the same bits. A fit whose
+// values stop being finite returns ErrDiverged.
 //
 // The package also provides the paper's online-inference step (§V-A):
 // embedding a new scan from its own edges while all other embeddings stay
@@ -135,13 +136,13 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Dim <= 0:
 		return fmt.Errorf("embed: dim %d must be positive", c.Dim)
-	case c.LearningRate <= 0:
-		return fmt.Errorf("embed: learning rate %v must be positive", c.LearningRate)
+	case !positiveFinite(c.LearningRate):
+		return fmt.Errorf("embed: learning rate %v must be positive and finite", c.LearningRate)
 	case c.NegativeSamples < 0:
 		return fmt.Errorf("embed: negative samples %d must be non-negative", c.NegativeSamples)
 	case c.SamplesPerEdge <= 0:
 		return fmt.Errorf("embed: samples per edge %d must be positive", c.SamplesPerEdge)
-	case c.Dropout < 0 || c.Dropout >= 1:
+	case !(c.Dropout >= 0 && c.Dropout < 1):
 		return fmt.Errorf("embed: dropout %v outside [0,1)", c.Dropout)
 	}
 	switch c.Mode {
@@ -151,6 +152,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is in (0, +Inf); NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 func (c *Config) mode() Mode {
 	if c.Mode == 0 {
@@ -173,12 +177,13 @@ type Embedding struct {
 // context vectors to zero. Rows are carved out of two flat backing
 // arrays so a training pass walks contiguous memory; capacity-clamped
 // subslices keep a later append on one row from clobbering its neighbor.
-// The RNG draw order matches per-row allocation, so fixed-seed results
-// are unchanged by the layout.
-func newEmbedding(n, dim int, rng *rand.Rand) *Embedding {
-	e := &Embedding{Dim: dim, Ego: make([][]float64, n), Ctx: make([][]float64, n)}
-	egoBack := make([]float64, n*dim)
-	ctxBack := make([]float64, n*dim)
+// The backing arrays are returned too, for the AVX2 training kernel. The
+// RNG draw order matches per-row allocation, so fixed-seed results are
+// unchanged by the layout.
+func newEmbedding(n, dim int, rng *rand.Rand) (e *Embedding, egoBack, ctxBack []float64) {
+	e = &Embedding{Dim: dim, Ego: make([][]float64, n), Ctx: make([][]float64, n)}
+	egoBack = make([]float64, n*dim)
+	ctxBack = make([]float64, n*dim)
 	for i := 0; i < n; i++ {
 		ego := egoBack[i*dim : (i+1)*dim : (i+1)*dim]
 		for d := range ego {
@@ -187,7 +192,7 @@ func newEmbedding(n, dim int, rng *rand.Rand) *Embedding {
 		e.Ego[i] = ego
 		e.Ctx[i] = ctxBack[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	return e
+	return e, egoBack, ctxBack
 }
 
 func randomVector(dim int, rng *rand.Rand) []float64 {
@@ -219,6 +224,11 @@ func (e *Embedding) EgoOf(id rfgraph.NodeID) []float64 {
 // live edges.
 var ErrEmptyGraph = errors.New("embed: graph has no edges")
 
+// ErrDiverged is returned when training diverges: an SGD step meets a NaN
+// dot product, or a trained vector ends up holding ±Inf or NaN. Too large
+// a LearningRate does this.
+var ErrDiverged = errors.New("embed: training diverged to non-finite values")
+
 // sigmoidTable holds σ(x) precomputed on a uniform grid over
 // [-sigmoidBound, sigmoidBound]. Outside the grid σ saturates to within
 // 1e-4 of 0 or 1, so clamping is exact enough for SGD. Nearest-bin table
@@ -240,7 +250,9 @@ var sigmoidTable = func() [sigmoidSize + 1]float64 {
 
 // sigmoid evaluates the logistic function by nearest-bin table lookup.
 // The bin width of 2·9/4096 bounds the error by σ'(0)·step/2 ≈ 5.5e-4,
-// far below the SGD noise floor.
+// far below the SGD noise floor. x must not be NaN, whose index is out of
+// range: training checks its dot products first. elineStep8 computes the
+// same values without a branch.
 func sigmoid(x float64) float64 {
 	if x >= sigmoidBound {
 		return 1
@@ -310,9 +322,16 @@ const chunkSamples = 1024
 // boundary (1024 samples), so a cancelled context — a server shutting
 // down mid-refit — aborts training within a fraction of a millisecond
 // instead of grinding through the remaining samples. A cancelled run
-// returns ctx.Err() and no embedding. When ctx is never cancelled the
-// sample stream is untouched, so results stay bit-identical to Train.
+// returns ctx.Err() and no embedding, and a diverged one ErrDiverged and
+// no embedding. When ctx is never cancelled the sample stream is
+// untouched, so results stay bit-identical to Train.
 func TrainCtx(ctx context.Context, g *rfgraph.Graph, cfg Config) (*Embedding, error) {
+	return train(ctx, g, cfg, hasAVX2)
+}
+
+// train is TrainCtx with the kernel choice explicit: avx2 lets dim-8
+// E-LINE samples take elineStep8, and false forces the Go kernels.
+func train(ctx context.Context, g *rfgraph.Graph, cfg Config, avx2 bool) (*Embedding, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -324,12 +343,15 @@ func TrainCtx(ctx context.Context, g *rfgraph.Graph, cfg Config) (*Embedding, er
 		return nil, err
 	}
 	seeder := sampling.NewSeeder(cfg.Seed)
-	emb := newEmbedding(g.NumNodes(), cfg.Dim, seeder.NextRand())
+	emb, ego, ctxs := newEmbedding(g.NumNodes(), cfg.Dim, seeder.NextRand())
 	t := &trainer{
 		tc:        tc,
 		emb:       emb,
+		ego:       ego,
+		ctx:       ctxs,
 		cfg:       cfg,
 		mode:      cfg.mode(),
+		kernel:    avx2 && cfg.Dim == 8 && cfg.mode() == ModeELINE,
 		total:     cfg.SamplesPerEdge * len(tc.edges),
 		chunkBase: seeder.Next(),
 	}
@@ -345,21 +367,42 @@ func TrainCtx(ctx context.Context, g *rfgraph.Graph, cfg Config) (*Embedding, er
 type trainer struct {
 	tc        *trainContext
 	emb       *Embedding
+	ego, ctx  []float64 // emb's rows as flat row-major tables
 	cfg       Config
 	mode      Mode
+	kernel    bool  // E-LINE samples try elineStep8 first
 	total     int   // SGD samples across all chunks
 	chunks    int   // ceil(total / chunkSamples)
 	chunkBase int64 // seed root for per-chunk RNG streams
 }
 
 // run executes chunks 0..chunks-1 in order on the calling goroutine —
-// the serial schedule the parity tests pin — until ctx is done.
+// the serial schedule the parity tests pin — until ctx is done or a
+// sample diverges. A run that completes is checked for values that are
+// not finite, which a dot product need not have met.
 func (t *trainer) run(ctx context.Context) error {
 	ws := newTrainScratch(t.cfg)
 	for c := 0; c < t.chunks && ctx.Err() == nil; c++ {
-		t.runChunk(c, ws)
+		if !t.runChunk(c, ws) {
+			return ErrDiverged
+		}
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !allFinite(t.ego) || !allFinite(t.ctx) {
+		return ErrDiverged
+	}
+	return nil
+}
+
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // lrAt returns the learning rate for chunk c: linear decay by stream
@@ -380,7 +423,7 @@ func (t *trainer) lrAt(c int) float64 {
 type trainScratch struct {
 	rng  sampling.Fast
 	zbuf []rfgraph.NodeID // negative draws, shared by both E-LINE directions
-	gs   []float64        // per-row step coefficients
+	gs   []float64        // per-row step coefficients, both directions' for elineStep8
 	rows [][]float64      // table rows touched by the current update
 	grad []float64        // source-gradient accumulator (generic dims)
 }
@@ -388,7 +431,7 @@ type trainScratch struct {
 func newTrainScratch(cfg Config) *trainScratch {
 	return &trainScratch{
 		zbuf: make([]rfgraph.NodeID, cfg.NegativeSamples),
-		gs:   make([]float64, cfg.NegativeSamples+1),
+		gs:   make([]float64, 2*(cfg.NegativeSamples+1)),
 		rows: make([][]float64, cfg.NegativeSamples+1),
 		grad: make([]float64, cfg.Dim),
 	}
@@ -399,10 +442,11 @@ func newTrainScratch(cfg Config) *trainScratch {
 // comes from a Fast RNG seeded by (chunkBase, c). One batch of negatives
 // serves every direction of a positive sample (common random numbers):
 // half the alias draws of the old per-direction scheme, statistically
-// equivalent for negative-sampling SGD.
+// equivalent for negative-sampling SGD. It reports false, leaving the
+// chunk unfinished, when a sample meets a NaN dot product.
 //
 //grafics:hotpath
-func (t *trainer) runChunk(c int, ws *trainScratch) {
+func (t *trainer) runChunk(c int, ws *trainScratch) bool {
 	ws.rng.Reseed(sampling.SeedAt(t.chunkBase, c))
 	rng := &ws.rng
 	lo := c * chunkSamples
@@ -420,16 +464,23 @@ func (t *trainer) runChunk(c int, ws *trainScratch) {
 		for k := range ws.zbuf {
 			ws.zbuf[k] = t.tc.negNodes[t.tc.negDist.DrawFast(rng)]
 		}
+		var ok bool
 		switch t.mode {
 		case ModeLINEFirst:
-			sgdUpdate(t.emb.Ego[i], t.emb.Ego, j, lr, ws)
+			ok = sgdUpdate(t.emb.Ego[i], t.emb.Ego, j, lr, ws)
 		case ModeLINESecond:
-			sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws)
-		default: // ModeELINE: O1 + O2
-			sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws)
-			sgdUpdate(t.emb.Ctx[i], t.emb.Ego, j, lr, ws)
+			ok = sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws)
+		default: // ModeELINE: O1 + O2, in one kernel call unless it declines
+			if t.kernel && elineStep8(t.ego, t.ctx, i, j, ws.zbuf, -lr, ws.gs) {
+				continue
+			}
+			ok = sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws) && sgdUpdate(t.emb.Ctx[i], t.emb.Ego, j, lr, ws)
+		}
+		if !ok {
+			return false
 		}
 	}
+	return true
 }
 
 // sgdUpdate performs one negative-sampled update of the skip-gram style
@@ -438,20 +489,24 @@ func (t *trainer) runChunk(c int, ws *trainScratch) {
 // halves of E-LINE: with source = ego_i and table = Ctx it is the classic
 // second-order update (Eq. 5); with source = ctx_i and table = Ego it is
 // the symmetric term (Eq. 8). Dim-8 runs — the paper's configuration —
-// take the fused unrolled kernel.
+// take the fused unrolled kernel. It reports false, having moved nothing,
+// when a dot product is NaN: the fit has diverged.
 //
 //grafics:hotpath
-func sgdUpdate(source []float64, table [][]float64, j rfgraph.NodeID, lr float64, ws *trainScratch) {
+func sgdUpdate(source []float64, table [][]float64, j rfgraph.NodeID, lr float64, ws *trainScratch) bool {
 	if len(source) == 8 {
-		sgdUpdate8(source, table, j, lr, ws)
-		return
+		return sgdUpdate8(source, table, j, lr, ws)
 	}
 	// Coefficient pass against the unchanged source, then apply — the
 	// same gs/rows staging as frozenUpdate in incremental.go, so both
 	// training paths share one floating-point shape.
 	gs, rows := ws.gs, ws.rows
 	target := table[j]
-	gs[0] = -lr * (sigmoid(dotU(source, target)) - 1)
+	x := dotU(source, target)
+	if math.IsNaN(x) {
+		return false
+	}
+	gs[0] = -lr * (sigmoid(x) - 1)
 	rows[0] = target
 	n := 1
 	for _, z := range ws.zbuf {
@@ -459,7 +514,11 @@ func sgdUpdate(source []float64, table [][]float64, j rfgraph.NodeID, lr float64
 			continue
 		}
 		row := table[z]
-		gs[n] = -lr * sigmoid(dotU(source, row))
+		x := dotU(source, row)
+		if math.IsNaN(x) {
+			return false
+		}
+		gs[n] = -lr * sigmoid(x)
 		rows[n] = row
 		n++
 	}
@@ -472,6 +531,7 @@ func sgdUpdate(source []float64, table [][]float64, j rfgraph.NodeID, lr float64
 		axpy(gs[k], source, rows[k]) // row += g·source
 	}
 	axpy(1, grad, source)
+	return true
 }
 
 // sgdUpdate8 is sgdUpdate's dim-8 fast path: the unrolled dot8 kernel
@@ -482,11 +542,15 @@ func sgdUpdate(source []float64, table [][]float64, j rfgraph.NodeID, lr float64
 // bit-identical — the parity tests pin that equivalence.
 //
 //grafics:hotpath
-func sgdUpdate8(source []float64, table [][]float64, j rfgraph.NodeID, lr float64, ws *trainScratch) {
+func sgdUpdate8(source []float64, table [][]float64, j rfgraph.NodeID, lr float64, ws *trainScratch) bool {
 	src := (*[8]float64)(source)
 	gs, rows := ws.gs, ws.rows
 	target := table[j]
-	gs[0] = -lr * (sigmoid(dot8(src, (*[8]float64)(target))) - 1)
+	x := dot8(src, (*[8]float64)(target))
+	if math.IsNaN(x) {
+		return false
+	}
+	gs[0] = -lr * (sigmoid(x) - 1)
 	rows[0] = target
 	n := 1
 	for _, z := range ws.zbuf {
@@ -494,7 +558,11 @@ func sgdUpdate8(source []float64, table [][]float64, j rfgraph.NodeID, lr float6
 			continue
 		}
 		row := table[z]
-		gs[n] = -lr * sigmoid(dot8(src, (*[8]float64)(row)))
+		x := dot8(src, (*[8]float64)(row))
+		if math.IsNaN(x) {
+			return false
+		}
+		gs[n] = -lr * sigmoid(x)
 		rows[n] = row
 		n++
 	}
@@ -527,6 +595,7 @@ func sgdUpdate8(source []float64, table [][]float64, j rfgraph.NodeID, lr float6
 	src[5] += grad[5]
 	src[6] += grad[6]
 	src[7] += grad[7]
+	return true
 }
 
 // trainConcat implements ModeLINEBoth: independent first- and second-order

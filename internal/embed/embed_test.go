@@ -89,14 +89,53 @@ func TestConfigValidate(t *testing.T) {
 		{"zero mode ok", func(c *Config) { c.Mode = 0 }, true},
 		{"bad dim", func(c *Config) { c.Dim = 0 }, false},
 		{"bad lr", func(c *Config) { c.LearningRate = -1 }, false},
+		{"zero lr", func(c *Config) { c.LearningRate = 0 }, false},
+		{"nan lr", func(c *Config) { c.LearningRate = math.NaN() }, false},
+		{"inf lr", func(c *Config) { c.LearningRate = math.Inf(1) }, false},
 		{"bad negatives", func(c *Config) { c.NegativeSamples = -1 }, false},
 		{"bad samples", func(c *Config) { c.SamplesPerEdge = 0 }, false},
 		{"bad dropout", func(c *Config) { c.Dropout = 1 }, false},
+		{"negative dropout", func(c *Config) { c.Dropout = -0.1 }, false},
+		{"nan dropout", func(c *Config) { c.Dropout = math.NaN() }, false},
+		{"inf dropout", func(c *Config) { c.Dropout = math.Inf(1) }, false},
+		{"zero dropout ok", func(c *Config) { c.Dropout = 0 }, true},
 		{"bad mode", func(c *Config) { c.Mode = Mode(99) }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultConfig()
+			tt.mutate(&cfg)
+			err := cfg.Validate()
+			if tt.ok && err != nil {
+				t.Errorf("unexpected error: %v", err)
+			}
+			if !tt.ok && err == nil {
+				t.Error("expected validation error")
+			}
+		})
+	}
+}
+
+func TestIncrementalConfigValidate(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*IncrementalConfig)
+		ok     bool
+	}{
+		{"default", func(c *IncrementalConfig) {}, true},
+		{"one round", func(c *IncrementalConfig) { c.Rounds = 1 }, true},
+		{"zero rounds", func(c *IncrementalConfig) { c.Rounds = 0 }, false},
+		{"negative lr", func(c *IncrementalConfig) { c.LearningRate = -1 }, false},
+		{"zero lr", func(c *IncrementalConfig) { c.LearningRate = 0 }, false},
+		{"nan lr", func(c *IncrementalConfig) { c.LearningRate = math.NaN() }, false},
+		{"inf lr", func(c *IncrementalConfig) { c.LearningRate = math.Inf(1) }, false},
+		{"huge lr ok", func(c *IncrementalConfig) { c.LearningRate = 1e100 }, true},
+		{"no negatives ok", func(c *IncrementalConfig) { c.NegativeSamples = 0 }, true},
+		{"negative negatives", func(c *IncrementalConfig) { c.NegativeSamples = -1 }, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultIncrementalConfig()
 			tt.mutate(&cfg)
 			err := cfg.Validate()
 			if tt.ok && err != nil {
@@ -404,7 +443,7 @@ func TestEmbedNewNodeErrors(t *testing.T) {
 
 func TestEmbeddingGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	e := newEmbedding(2, 4, rng)
+	e, _, _ := newEmbedding(2, 4, rng)
 	e.Grow(5, rng)
 	if len(e.Ego) != 5 || len(e.Ctx) != 5 {
 		t.Fatalf("grow to 5: ego=%d ctx=%d", len(e.Ego), len(e.Ctx))

@@ -45,8 +45,8 @@ func (c *IncrementalConfig) Validate() error {
 	switch {
 	case c.Rounds <= 0:
 		return fmt.Errorf("embed: incremental rounds %d must be positive", c.Rounds)
-	case c.LearningRate <= 0:
-		return fmt.Errorf("embed: incremental learning rate %v must be positive", c.LearningRate)
+	case !positiveFinite(c.LearningRate):
+		return fmt.Errorf("embed: incremental learning rate %v must be positive and finite", c.LearningRate)
 	case c.NegativeSamples < 0:
 		return fmt.Errorf("embed: incremental negative samples %d must be non-negative", c.NegativeSamples)
 	}

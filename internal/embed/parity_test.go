@@ -30,7 +30,7 @@ func referenceTrain(t *testing.T, g *rfgraph.Graph, cfg Config) *Embedding {
 		t.Fatalf("buildTrainContext: %v", err)
 	}
 	seeder := sampling.NewSeeder(cfg.Seed)
-	emb := newEmbedding(g.NumNodes(), cfg.Dim, seeder.NextRand())
+	emb, _, _ := newEmbedding(g.NumNodes(), cfg.Dim, seeder.NextRand())
 	chunkBase := seeder.Next()
 	total := cfg.SamplesPerEdge * len(tc.edges)
 	zs := make([]rfgraph.NodeID, cfg.NegativeSamples)

@@ -631,6 +631,23 @@ func TestAddBuildingsCancelled(t *testing.T) {
 	}
 }
 
+// TestAddBuildingsDivergedFit: a learning rate that drives E-LINE to NaN
+// fails each fit with embed.ErrDiverged, passed on through core's FitCtx
+// and AddBuildings, instead of panicking on a fit worker and taking the
+// process down; no building is published.
+func TestAddBuildingsDivergedFit(t *testing.T) {
+	cfg := core.Config{Embed: embed.DefaultConfig()}
+	cfg.Embed.LearningRate = 1
+	p := New(cfg)
+	err := p.AddBuildings(context.Background(), corpora(t, 2, 81), 2)
+	if !errors.Is(err, embed.ErrDiverged) {
+		t.Fatalf("batch error = %v, want wrapped embed.ErrDiverged", err)
+	}
+	if got := p.Buildings(); len(got) != 0 {
+		t.Errorf("buildings = %v, want none published", got)
+	}
+}
+
 // TestAddBuildingPartialBatchFailure: one bad corpus (no records) fails
 // its own building but the siblings still publish.
 func TestAddBuildingsPartialFailure(t *testing.T) {
