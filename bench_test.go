@@ -240,7 +240,7 @@ func BenchmarkAblationSymmetricTerm(b *testing.B) {
 			cfg.SamplesPerEdge = 60
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := embed.Train(g, cfg); err != nil {
+				if _, err := embed.TrainCtx(context.Background(), g, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,7 +258,7 @@ func BenchmarkAblationNegativeSamples(b *testing.B) {
 			cfg.SamplesPerEdge = 60
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := embed.Train(g, cfg); err != nil {
+				if _, err := embed.TrainCtx(context.Background(), g, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -353,7 +353,7 @@ func BenchmarkAblationClusterConstraint(b *testing.B) {
 	}
 	b.Run("constrained", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m, err := cluster.Train(items)
+			m, err := cluster.TrainCtx(context.Background(), items)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -423,7 +423,7 @@ func BenchmarkELINETrainPerSample(b *testing.B) {
 	edges := len(g.DirectedEdges())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := embed.Train(g, cfg); err != nil {
+		if _, err := embed.TrainCtx(context.Background(), g, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -592,7 +592,7 @@ func BenchmarkClusterTrain(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.Train(items); err != nil {
+		if _, err := cluster.TrainCtx(context.Background(), items); err != nil {
 			b.Fatal(err)
 		}
 	}

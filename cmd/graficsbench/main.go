@@ -11,7 +11,8 @@
 // at -rate, when set), reporting p50/p95/p99 latency, throughput,
 // and allocations per request. The fit mode measures the offline
 // training pipeline instead: one building at a time, each fit on one
-// goroutine, as production fits every building (see docs/determinism.md).
+// goroutine, as production fits every building (see docs/determinism.md),
+// every scenario run five times and reported as its median.
 // With -baseline the run is gated against a committed BENCH.json:
 // >-max-p95-regress percent p95 growth, >-max-allocs-regress percent
 // allocs/op growth, or a fit scenario regressing on wall-clock, peak
@@ -26,6 +27,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -34,6 +36,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -267,15 +270,52 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
+// fitRuns is how many times each fit scenario runs. Its report is the
+// median of each measurement: one run of a fit on a shared host spread as
+// widely as the gate's bounds (fit/system/n480 gave 1386, 1235 and 811
+// records/s in three back-to-back runs of the same code).
+const fitRuns = 5
+
+// runFitMedian runs one fit scenario fitRuns times with bench.RunFit and
+// reports the median wall clock (and so the median records/s), the
+// median peak heap and the median total allocation.
+func runFitMedian(ctx context.Context, scenario string, records int, fn func(ctx context.Context) error) (bench.FitReport, error) {
+	runs := make([]bench.FitReport, fitRuns)
+	for i := range runs {
+		rep, err := bench.RunFit(ctx, scenario, records, fn)
+		if err != nil {
+			return bench.FitReport{}, err
+		}
+		runs[i] = rep
+	}
+	return medianFit(runs), nil
+}
+
+// medianFit reports, for an odd number of runs of one scenario, the
+// median of each measurement. records/s falls as wall clock rises, so
+// the median run's records/s is the median records/s.
+func medianFit(runs []bench.FitReport) bench.FitReport {
+	median := func(key func(bench.FitReport) float64) bench.FitReport {
+		sorted := slices.Clone(runs)
+		slices.SortFunc(sorted, func(a, b bench.FitReport) int { return cmp.Compare(key(a), key(b)) })
+		return sorted[len(sorted)/2]
+	}
+	out := median(func(r bench.FitReport) float64 { return r.WallSeconds })
+	out.PeakAllocBytes = median(func(r bench.FitReport) float64 { return float64(r.PeakAllocBytes) }).PeakAllocBytes
+	out.TotalAllocBytes = median(func(r bench.FitReport) float64 { return float64(r.TotalAllocBytes) }).TotalAllocBytes
+	return out
+}
+
 // runFitScenarios measures the offline-training path: full-pipeline fits
 // at each -fit-sizes corpus, one lifecycle-style refit (fit + absorbed
 // crowd scans + retrain on the grown corpus) at the middle size, and
-// clustering-only scenarios at each -fit-cluster-sizes count.
+// clustering-only scenarios at each -fit-cluster-sizes count, each the
+// median of fitRuns runs.
 func runFitScenarios(ctx context.Context, cfg *config, w io.Writer) ([]bench.FitReport, error) {
 	var out []bench.FitReport
 	emit := func(rep bench.FitReport) {
-		fmt.Fprintf(w, "%-28s %8.3fs wall  %8.0f records/s  peak %7.1f MiB  (%d records)\n",
-			rep.Scenario, rep.WallSeconds, rep.RecordsPerSec, float64(rep.PeakAllocBytes)/(1<<20), rep.Records)
+		fmt.Fprintf(w, "%-28s %8.3fs wall  %8.0f records/s  peak %7.1f MiB  (%d records, median of %d)\n",
+			rep.Scenario, rep.WallSeconds, rep.RecordsPerSec, float64(rep.PeakAllocBytes)/(1<<20), rep.Records, fitRuns)
 		out = append(out, rep)
 	}
 	for i, size := range cfg.fitSizes {
@@ -284,7 +324,7 @@ func runFitScenarios(ctx context.Context, cfg *config, w io.Writer) ([]bench.Fit
 			return nil, err
 		}
 		n := len(wl.Train)
-		rep, err := bench.RunFit(ctx, fmt.Sprintf("fit/system/n%d", n), n, func(ctx context.Context) error {
+		rep, err := runFitMedian(ctx, fmt.Sprintf("fit/system/n%d", n), n, func(ctx context.Context) error {
 			sys := core.New(core.Config{})
 			if err := sys.AddTraining(wl.Train); err != nil {
 				return err
@@ -318,7 +358,7 @@ func runFitScenarios(ctx context.Context, cfg *config, w io.Writer) ([]bench.Fit
 			}
 		}
 		corpus := sys.CorpusRecords()
-		rep, err := bench.RunFit(ctx, fmt.Sprintf("fit/refit/n%d", len(corpus)), len(corpus), func(ctx context.Context) error {
+		rep, err := runFitMedian(ctx, fmt.Sprintf("fit/refit/n%d", len(corpus)), len(corpus), func(ctx context.Context) error {
 			next := core.New(sys.Config())
 			if err := next.AddTraining(corpus); err != nil {
 				return err
@@ -332,7 +372,7 @@ func runFitScenarios(ctx context.Context, cfg *config, w io.Writer) ([]bench.Fit
 	}
 	for i, n := range cfg.fitClusterSize {
 		items := bench.ClusterItems(n, 8, 24, cfg.spec.Seed+int64(i)*13+5)
-		rep, err := bench.RunFit(ctx, fmt.Sprintf("fit/cluster/n%d", n), n, func(ctx context.Context) error {
+		rep, err := runFitMedian(ctx, fmt.Sprintf("fit/cluster/n%d", n), n, func(ctx context.Context) error {
 			_, err := cluster.TrainCtx(ctx, items)
 			return err
 		})

@@ -214,6 +214,26 @@ func TestRunFitMode(t *testing.T) {
 	}
 }
 
+// TestMedianFit: each measurement of a repeated fit scenario is its own
+// median, and records/s is the median-wall run's.
+func TestMedianFit(t *testing.T) {
+	var runs []bench.FitReport
+	for i, wall := range []float64{3, 1, 5, 2, 4} {
+		runs = append(runs, bench.FitReport{
+			Scenario: "fit/x", Records: 60, WallSeconds: wall, RecordsPerSec: 60 / wall,
+			PeakAllocBytes: uint64(10 * (5 - i)), TotalAllocBytes: uint64(100 + i),
+		})
+	}
+	got := medianFit(runs)
+	want := bench.FitReport{Scenario: "fit/x", Records: 60, WallSeconds: 3, RecordsPerSec: 20, PeakAllocBytes: 30, TotalAllocBytes: 102}
+	if got != want {
+		t.Errorf("medianFit = %+v, want %+v", got, want)
+	}
+	if runs[0].WallSeconds != 3 || runs[1].WallSeconds != 1 {
+		t.Error("medianFit reordered its argument")
+	}
+}
+
 // TestFitGateAgainstOwnBaseline runs the fit scenarios, uses the emitted
 // report as its own baseline (which must pass), and then asserts a
 // stale-schema baseline is rejected. The regression arithmetic itself is

@@ -8,6 +8,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -108,7 +109,7 @@ func proxPredict(trainVecs [][]float64, train []dataset.Record, testVecs [][]flo
 	if !anyLabel {
 		return nil, ErrNoLabeledTraining
 	}
-	model, err := cluster.Train(items)
+	model, err := cluster.TrainCtx(context.Background(), items)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: prox clustering: %w", err)
 	}

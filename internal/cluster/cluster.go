@@ -28,7 +28,7 @@ type Item struct {
 	Label int
 }
 
-// Errors returned by Train.
+// Errors returned by TrainCtx.
 var (
 	ErrNoItems     = errors.New("cluster: no items to cluster")
 	ErrNoLabels    = errors.New("cluster: no labeled items; clustering needs at least one label")
@@ -57,17 +57,9 @@ type Model struct {
 	// clustering at any intermediate point (Fig. 8).
 	Trace []Merge
 
-	// NumItems is the number of items Train clustered (retained so the
+	// NumItems is the number of items TrainCtx clustered (retained so the
 	// model can be serialized and traces replayed).
 	NumItems int
-}
-
-// Train builds the proximity-based hierarchical clustering of items. It is
-// TrainCtx with a background context.
-//
-//grafics:ctxok compatibility wrapper; callers migrate to TrainCtx
-func Train(items []Item) (*Model, error) {
-	return TrainCtx(context.Background(), items)
 }
 
 // condIdx maps an unordered active-root pair (i < j) to its slot in the
@@ -328,7 +320,7 @@ func (m *Model) Predict(vec []float64) (label, clusterIdx int, distance float64)
 // MemberLabels returns the virtual label assigned to every item by its
 // final cluster (the paper's "labels are virtually predicted" step for the
 // unlabeled training samples). The result is indexed like the items slice
-// given to Train.
+// given to TrainCtx.
 func (m *Model) MemberLabels() []int {
 	out := make([]int, m.NumItems)
 	for i := range out {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -33,25 +34,25 @@ func gaussianBlobs(k, m, labeledPer int, seed int64) []Item {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil); !errors.Is(err, ErrNoItems) {
+	if _, err := TrainCtx(context.Background(), nil); !errors.Is(err, ErrNoItems) {
 		t.Errorf("empty error = %v, want ErrNoItems", err)
 	}
 	items := []Item{{Vec: []float64{0}, Label: Unlabeled}}
-	if _, err := Train(items); !errors.Is(err, ErrNoLabels) {
+	if _, err := TrainCtx(context.Background(), items); !errors.Is(err, ErrNoLabels) {
 		t.Errorf("no-labels error = %v, want ErrNoLabels", err)
 	}
 	bad := []Item{
 		{Vec: []float64{0, 1}, Label: 0},
 		{Vec: []float64{0}, Label: Unlabeled},
 	}
-	if _, err := Train(bad); !errors.Is(err, ErrDimMismatch) {
+	if _, err := TrainCtx(context.Background(), bad); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("dim error = %v, want ErrDimMismatch", err)
 	}
 }
 
 func TestTrainThreeBlobs(t *testing.T) {
 	items := gaussianBlobs(3, 30, 1, 1)
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestClusterCountEqualsLabelCount(t *testing.T) {
 	// 4 labels per blob: multiple clusters per floor are expected (the
 	// paper notes multiple clusters can map to one floor).
 	items := gaussianBlobs(2, 25, 4, 2)
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestNoTwoLabelsInOneCluster(t *testing.T) {
 		}
 		items = append(items, Item{Index: i, Vec: []float64{rng.NormFloat64(), rng.NormFloat64()}, Label: label})
 	}
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -122,7 +123,7 @@ func TestNoTwoLabelsInOneCluster(t *testing.T) {
 
 func TestPredict(t *testing.T) {
 	items := gaussianBlobs(3, 20, 1, 4)
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestCentroids(t *testing.T) {
 		{Index: 1, Vec: []float64{2, 0}, Label: Unlabeled},
 		{Index: 2, Vec: []float64{100, 0}, Label: 1},
 	}
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -178,7 +179,7 @@ func TestCentroids(t *testing.T) {
 
 func TestTraceAndAssignments(t *testing.T) {
 	items := gaussianBlobs(2, 10, 1, 5)
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -218,7 +219,7 @@ func TestMergeDistancesMonotoneOnCleanData(t *testing.T) {
 	// With average linkage on well-separated blobs the big jumps come
 	// last: the final merge distance must exceed the first.
 	items := gaussianBlobs(2, 15, 1, 6)
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -246,7 +247,7 @@ func TestTrainInvariantsProperty(t *testing.T) {
 			}
 			items[i] = Item{Index: i, Vec: []float64{rng.Float64() * 10, rng.Float64() * 10}, Label: label}
 		}
-		m, err := Train(items)
+		m, err := TrainCtx(context.Background(), items)
 		if err != nil {
 			return false
 		}
@@ -345,7 +346,7 @@ func TestConstraintValue(t *testing.T) {
 			})
 		}
 	}
-	constrained, err := Train(items)
+	constrained, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}

@@ -51,7 +51,7 @@ func sortedMemberSets(m *Model) [][]int {
 
 // TestTrainMatchesReferenceExactly is the fixed-seed parity gate: on
 // randomized inputs in general position (distinct pairwise distances with
-// probability 1), the memory-lean Train must reproduce the legacy
+// probability 1), the memory-lean TrainCtx must reproduce the legacy
 // flat-matrix implementation bit for bit — the full Trace (order, A/B
 // orientation, distances), cluster labels, member order, and centroids.
 func TestTrainMatchesReferenceExactly(t *testing.T) {
@@ -75,7 +75,7 @@ func TestTrainMatchesReferenceExactly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: TrainReference: %v", tc.seed, err)
 		}
-		got, err := Train(items)
+		got, err := TrainCtx(context.Background(), items)
 		if err != nil {
 			t.Fatalf("seed %d: Train: %v", tc.seed, err)
 		}
@@ -116,7 +116,7 @@ func TestTrainParityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: TrainReference: %v", trial, err)
 		}
-		got, err := Train(items)
+		got, err := TrainCtx(context.Background(), items)
 		if err != nil {
 			t.Fatalf("trial %d: Train: %v", trial, err)
 		}
@@ -164,7 +164,7 @@ func TestTrainTieRule(t *testing.T) {
 		{Index: 2, Vec: []float64{10}, Label: 1},
 		{Index: 3, Vec: []float64{11}, Label: Unlabeled},
 	}
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestTrainTieRule(t *testing.T) {
 		t.Errorf("second merge = %+v, want {A:2 B:3 Distance:1}", m.Trace[1])
 	}
 	// Determinism: repeated runs must be identical.
-	again, err := Train(items)
+	again, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train again: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestTrainDuplicateLabeledSite(t *testing.T) {
 		{Index: 3, Vec: []float64{40, 40}, Label: 1},
 		{Index: 4, Vec: []float64{40, 40}, Label: Unlabeled},
 	}
-	m, err := Train(items)
+	m, err := TrainCtx(context.Background(), items)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}

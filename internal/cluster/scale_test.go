@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"runtime"
@@ -66,7 +67,7 @@ func TestScaleComparison(t *testing.T) {
 
 	var got *Model
 	newWall, newPeak := peakHeapDuring(func() {
-		m, err := Train(items)
+		m, err := TrainCtx(context.Background(), items)
 		if err != nil {
 			t.Fatalf("Train: %v", err)
 		}

@@ -7,7 +7,7 @@
 //
 // # Training pipeline
 //
-// Train/TrainCtx run alias-sampled edge SGD with negative sampling
+// TrainCtx runs alias-sampled edge SGD with negative sampling
 // (Pr(z) ∝ deg(z)^{3/4}). The sample stream is split into fixed-size
 // chunks; chunk i draws every random decision (dropout coin flips, edge
 // picks, negative picks) from its own sampling.Fast stream whose seed is
@@ -20,10 +20,11 @@
 // goroutine. The written contract — what is reproducible and what CI
 // pins — lives in docs/determinism.md.
 //
-// At the paper's dim 8, E-LINE applies each sample in one call to an AVX2
-// kernel (elineStep8) where the CPU has AVX2, and otherwise with the
-// unrolled Go kernel sgdUpdate8; both give the same bits. A fit whose
-// values stop being finite returns ErrDiverged.
+// At the paper's dim 8, where the CPU has AVX2, E-LINE trains a chunk in
+// two assembly calls: elineDraw draws the chunk's samples into a buffer
+// and elineApply applies them. Elsewhere a Go loop draws and applies each
+// sample with the unrolled Go kernel sgdUpdate8; both give the same bits.
+// A fit whose values stop being finite returns ErrDiverged.
 //
 // The package also provides the paper's online-inference step (§V-A):
 // embedding a new scan from its own edges while all other embeddings stay
@@ -251,8 +252,8 @@ var sigmoidTable = func() [sigmoidSize + 1]float64 {
 // sigmoid evaluates the logistic function by nearest-bin table lookup.
 // The bin width of 2·9/4096 bounds the error by σ'(0)·step/2 ≈ 5.5e-4,
 // far below the SGD noise floor. x must not be NaN, whose index is out of
-// range: training checks its dot products first. elineStep8 computes the
-// same values without a branch.
+// range: training checks its dot products first. elineApply computes the
+// same values four at a time, without a branch.
 func sigmoid(x float64) float64 {
 	if x >= sigmoidBound {
 		return 1
@@ -303,14 +304,6 @@ func buildTrainContext(g *rfgraph.Graph) (*trainContext, error) {
 	return &trainContext{edges: edges, edgeDist: edgeDist, negDist: negDist, negNodes: negNodes}, nil
 }
 
-// Train learns embeddings for every live node of g under cfg. It is
-// TrainCtx with a background context.
-//
-//grafics:ctxok compatibility wrapper; callers migrate to TrainCtx
-func Train(g *rfgraph.Graph, cfg Config) (*Embedding, error) {
-	return TrainCtx(context.Background(), g, cfg)
-}
-
 // chunkSamples is the unit of determinism and cancellation: the SGD
 // sample stream is cut into fixed chunks, and chunk i derives every
 // random decision from its own RNG stream keyed by (Seed, i) and its
@@ -318,20 +311,27 @@ func Train(g *rfgraph.Graph, cfg Config) (*Embedding, error) {
 // millisecond of training, which bounds cancellation latency.
 const chunkSamples = 1024
 
-// TrainCtx is Train with cancellation: it polls ctx at every chunk
-// boundary (1024 samples), so a cancelled context — a server shutting
-// down mid-refit — aborts training within a fraction of a millisecond
-// instead of grinding through the remaining samples. A cancelled run
-// returns ctx.Err() and no embedding, and a diverged one ErrDiverged and
-// no embedding. When ctx is never cancelled the sample stream is
-// untouched, so results stay bit-identical to Train.
+// maxSamples bounds a run's sample budget, so that the budget, the chunk
+// count's rounding and every chunk boundary fit in an int.
+const maxSamples = math.MaxInt - chunkSamples
+
+// TrainCtx learns embeddings for every live node of g under cfg. It polls
+// ctx at every chunk boundary (1024 samples), so a cancelled context — a
+// server shutting down mid-refit — aborts training within a fraction of
+// a millisecond instead of grinding through the remaining samples. A
+// cancelled run returns ctx.Err() and no embedding, a diverged one
+// ErrDiverged and no embedding, and a sample budget (SamplesPerEdge times
+// the directed edges) too large for an int an error and no embedding.
+// When ctx is never cancelled the sample stream is untouched, so results
+// are a pure function of (g, cfg).
 func TrainCtx(ctx context.Context, g *rfgraph.Graph, cfg Config) (*Embedding, error) {
-	return train(ctx, g, cfg, hasAVX2)
+	return train(ctx, g, cfg, true)
 }
 
-// train is TrainCtx with the kernel choice explicit: avx2 lets dim-8
-// E-LINE samples take elineStep8, and false forces the Go kernels.
-func train(ctx context.Context, g *rfgraph.Graph, cfg Config, avx2 bool) (*Embedding, error) {
+// train is TrainCtx with the kernel choice explicit: kernel lets dim-8
+// E-LINE chunks take elineDraw and elineApply where the CPU has AVX2,
+// and false forces the Go loop.
+func train(ctx context.Context, g *rfgraph.Graph, cfg Config, kernel bool) (*Embedding, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -342,6 +342,9 @@ func train(ctx context.Context, g *rfgraph.Graph, cfg Config, avx2 bool) (*Embed
 	if err != nil {
 		return nil, err
 	}
+	if cfg.SamplesPerEdge > maxSamples/len(tc.edges) {
+		return nil, fmt.Errorf("embed: %d samples per edge over %d directed edges is more samples than an int counts", cfg.SamplesPerEdge, len(tc.edges))
+	}
 	seeder := sampling.NewSeeder(cfg.Seed)
 	emb, ego, ctxs := newEmbedding(g.NumNodes(), cfg.Dim, seeder.NextRand())
 	t := &trainer{
@@ -351,15 +354,24 @@ func train(ctx context.Context, g *rfgraph.Graph, cfg Config, avx2 bool) (*Embed
 		ctx:       ctxs,
 		cfg:       cfg,
 		mode:      cfg.mode(),
-		kernel:    avx2 && cfg.Dim == 8 && cfg.mode() == ModeELINE,
 		total:     cfg.SamplesPerEdge * len(tc.edges),
 		chunkBase: seeder.Next(),
+	}
+	if kernel && usesKernel(cfg) {
+		t.draws = newDrawTables(tc, cfg)
 	}
 	t.chunks = (t.total + chunkSamples - 1) / chunkSamples
 	if err := t.run(ctx); err != nil {
 		return nil, err
 	}
 	return emb, nil
+}
+
+// usesKernel reports whether TrainCtx runs cfg's chunks with elineDraw
+// and elineApply: E-LINE at dim 8 on a CPU with AVX2, whatever the
+// negatives and dropout.
+func usesKernel(cfg Config) bool {
+	return hasAVX2 && cfg.Dim == 8 && cfg.mode() == ModeELINE
 }
 
 // trainer bundles the state of one training run; the embedding matrix
@@ -370,10 +382,35 @@ type trainer struct {
 	ego, ctx  []float64 // emb's rows as flat row-major tables
 	cfg       Config
 	mode      Mode
-	kernel    bool  // E-LINE samples try elineStep8 first
-	total     int   // SGD samples across all chunks
-	chunks    int   // ceil(total / chunkSamples)
-	chunkBase int64 // seed root for per-chunk RNG streams
+	draws     *drawTables // non-nil: chunks take elineDraw and elineApply
+	total     int         // SGD samples across all chunks
+	chunks    int         // ceil(total / chunkSamples)
+	chunkBase int64       // seed root for per-chunk RNG streams
+}
+
+// drawTables is what elineDraw reads of a run's sampling state: the
+// edges and the negative nodes, each with the columns of the alias table
+// that picks among them, and the draw's two hyperparameters. The
+// assembly reads its fields at the offsets go_asm.h names.
+type drawTables struct {
+	edges      []rfgraph.DirectedEdge
+	edgeThresh []uint64
+	edgeAlias  []int32
+	negNodes   []rfgraph.NodeID
+	negThresh  []uint64
+	negAlias   []int32
+	negatives  int
+	dropout    float64 // 0 when Config.Dropout is not positive: no coin is drawn
+}
+
+func newDrawTables(tc *trainContext, cfg Config) *drawTables {
+	d := &drawTables{edges: tc.edges, negNodes: tc.negNodes, negatives: cfg.NegativeSamples}
+	d.edgeThresh, d.edgeAlias = tc.edgeDist.Tables()
+	d.negThresh, d.negAlias = tc.negDist.Tables()
+	if cfg.Dropout > 0 {
+		d.dropout = cfg.Dropout
+	}
+	return d
 }
 
 // run executes chunks 0..chunks-1 in order on the calling goroutine —
@@ -381,7 +418,7 @@ type trainer struct {
 // sample diverges. A run that completes is checked for values that are
 // not finite, which a dot product need not have met.
 func (t *trainer) run(ctx context.Context) error {
-	ws := newTrainScratch(t.cfg)
+	ws := newTrainScratch(t.cfg, t.draws != nil)
 	for c := 0; c < t.chunks && ctx.Err() == nil; c++ {
 		if !t.runChunk(c, ws) {
 			return ErrDiverged
@@ -421,20 +458,27 @@ func (t *trainer) lrAt(c int) float64 {
 // plus the buffers the update kernels stage into, allocated once per run
 // so the hot loop allocates nothing.
 type trainScratch struct {
-	rng  sampling.Fast
-	zbuf []rfgraph.NodeID // negative draws, shared by both E-LINE directions
-	gs   []float64        // per-row step coefficients, both directions' for elineStep8
-	rows [][]float64      // table rows touched by the current update
-	grad []float64        // source-gradient accumulator (generic dims)
+	rng     sampling.Fast
+	zbuf    []rfgraph.NodeID // negative draws, shared by both E-LINE directions
+	gs      []float64        // per-row step coefficients, both directions' for elineApply
+	rows    [][]float64      // table rows touched by the current update
+	grad    []float64        // source-gradient accumulator (generic dims)
+	samples []rfgraph.NodeID // a chunk's kept samples from elineDraw, when kernel
 }
 
-func newTrainScratch(cfg Config) *trainScratch {
-	return &trainScratch{
+// newTrainScratch sizes a run's scratch; kernel adds the chunk buffer
+// elineDraw fills, (NegativeSamples+2)·chunkSamples ids.
+func newTrainScratch(cfg Config, kernel bool) *trainScratch {
+	ws := &trainScratch{
 		zbuf: make([]rfgraph.NodeID, cfg.NegativeSamples),
-		gs:   make([]float64, 2*(cfg.NegativeSamples+1)),
+		gs:   make([]float64, 4*((cfg.NegativeSamples+2)/2)),
 		rows: make([][]float64, cfg.NegativeSamples+1),
 		grad: make([]float64, cfg.Dim),
 	}
+	if kernel {
+		ws.samples = make([]rfgraph.NodeID, (cfg.NegativeSamples+2)*chunkSamples)
+	}
+	return ws
 }
 
 // runChunk draws and applies chunk c's slice of the sample stream. Every
@@ -447,15 +491,15 @@ func newTrainScratch(cfg Config) *trainScratch {
 //
 //grafics:hotpath
 func (t *trainer) runChunk(c int, ws *trainScratch) bool {
-	ws.rng.Reseed(sampling.SeedAt(t.chunkBase, c))
-	rng := &ws.rng
-	lo := c * chunkSamples
-	hi := lo + chunkSamples
-	if hi > t.total {
-		hi = t.total
-	}
+	seed := sampling.SeedAt(t.chunkBase, c)
+	n := min(chunkSamples, t.total-c*chunkSamples)
 	lr := t.lrAt(c)
-	for s := lo; s < hi; s++ {
+	if t.draws != nil {
+		return t.runChunkKernel(seed, n, lr, ws)
+	}
+	ws.rng.Reseed(seed)
+	rng := &ws.rng
+	for s := 0; s < n; s++ {
 		if t.cfg.Dropout > 0 && rng.Float64() < t.cfg.Dropout {
 			continue
 		}
@@ -470,17 +514,54 @@ func (t *trainer) runChunk(c int, ws *trainScratch) bool {
 			ok = sgdUpdate(t.emb.Ego[i], t.emb.Ego, j, lr, ws)
 		case ModeLINESecond:
 			ok = sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws)
-		default: // ModeELINE: O1 + O2, in one kernel call unless it declines
-			if t.kernel && elineStep8(t.ego, t.ctx, i, j, ws.zbuf, -lr, ws.gs) {
-				continue
-			}
-			ok = sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws) && sgdUpdate(t.emb.Ctx[i], t.emb.Ego, j, lr, ws)
+		default: // ModeELINE: O1 + O2
+			ok = t.elineGo(i, j, lr, ws)
 		}
 		if !ok {
 			return false
 		}
 	}
 	return true
+}
+
+// runChunkKernel is runChunk's E-LINE chunk on AVX2: elineDraw draws the
+// chunk's n samples from the stream seed into ws.samples, exactly as the
+// Go loop draws them, and applySamples applies the kept ones.
+//
+//grafics:hotpath
+func (t *trainer) runChunkKernel(seed int64, n int, lr float64, ws *trainScratch) bool {
+	buf := ws.samples[:n*(t.cfg.NegativeSamples+2)]
+	return t.applySamples(buf[:elineDraw(t.draws, seed, n, buf)], lr, ws)
+}
+
+// applySamples applies samples laid out as elineDraw writes them, in
+// order, with elineApply. A sample it declines is applied here with the
+// Go kernels, and elineApply resumes after it.
+//
+//grafics:hotpath
+func (t *trainer) applySamples(buf []rfgraph.NodeID, lr float64, ws *trainScratch) bool {
+	stride := t.cfg.NegativeSamples + 2
+	for {
+		buf = buf[elineApply(t.ego, t.ctx, buf, stride, -lr, ws.gs)*stride:]
+		if len(buf) == 0 {
+			return true
+		}
+		copy(ws.zbuf, buf[2:stride])
+		if !t.elineGo(buf[0], buf[1], lr, ws) {
+			return false
+		}
+		buf = buf[stride:]
+	}
+}
+
+// elineGo applies one E-LINE sample, i and j with the negatives in
+// ws.zbuf, with the Go kernels: the second-order update of ego_i against
+// the context table, then the symmetric one of ctx_i against the ego
+// table.
+//
+//grafics:hotpath
+func (t *trainer) elineGo(i, j rfgraph.NodeID, lr float64, ws *trainScratch) bool {
+	return sgdUpdate(t.emb.Ego[i], t.emb.Ctx, j, lr, ws) && sgdUpdate(t.emb.Ctx[i], t.emb.Ego, j, lr, ws)
 }
 
 // sgdUpdate performs one negative-sampled update of the skip-gram style

@@ -150,15 +150,34 @@ func TestIncrementalConfigValidate(t *testing.T) {
 
 func TestTrainEmptyGraph(t *testing.T) {
 	g := rfgraph.New(nil)
-	if _, err := Train(g, DefaultConfig()); !errors.Is(err, ErrEmptyGraph) {
+	if _, err := TrainCtx(context.Background(), g, DefaultConfig()); !errors.Is(err, ErrEmptyGraph) {
 		t.Errorf("error = %v, want ErrEmptyGraph", err)
+	}
+}
+
+// TestTrainRejectsOverflowingSampleBudget: a sample budget an int cannot
+// count used to wrap — 2^62 samples per edge (on 64-bit) over 32 directed
+// edges to 0 samples, and a budget just under MaxInt to a negative chunk
+// count — so the fit returned its untrained random start with no error.
+func TestTrainRejectsOverflowingSampleBudget(t *testing.T) {
+	g, _, _ := twoFloorGraph(t, 4, 2, 1)
+	edges := len(g.DirectedEdges())
+	for _, spe := range []int{math.MaxInt/2 + 1, math.MaxInt / edges, math.MaxInt} {
+		cfg := DefaultConfig()
+		cfg.SamplesPerEdge = spe
+		for _, kernel := range []bool{false, true} {
+			emb, err := train(context.Background(), g, cfg, kernel)
+			if err == nil || emb != nil {
+				t.Errorf("%d samples per edge over %d edges, kernel=%v: got an embedding %v, error %v; want none and an error", spe, edges, kernel, emb != nil, err)
+			}
+		}
 	}
 }
 
 func TestTrainSeparatesCommunities(t *testing.T) {
 	g, f0, f1 := twoFloorGraph(t, 20, 3, 1)
 	cfg := DefaultConfig()
-	emb, err := Train(g, cfg)
+	emb, err := TrainCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -171,11 +190,11 @@ func TestTrainDeterministic(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 8, 3, 2)
 	cfg := DefaultConfig()
 	cfg.SamplesPerEdge = 20
-	a, err := Train(g, cfg)
+	a, err := TrainCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	b, err := Train(g, cfg)
+	b, err := TrainCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -209,7 +228,7 @@ func TestTrainModes(t *testing.T) {
 			g, f0, f1 := twoFloorGraph(t, 12, 3, 4)
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			emb, err := Train(g, cfg)
+			emb, err := TrainCtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("Train: %v", err)
 			}
@@ -228,11 +247,11 @@ func TestTrainingReducesObjective(t *testing.T) {
 	cfg2 := cfg
 	cfg2.SamplesPerEdge = 1
 	cfg2.Dropout = 0.99 // skip nearly everything
-	randEmb, err := Train(g, cfg2)
+	randEmb, err := TrainCtx(context.Background(), g, cfg2)
 	if err != nil {
-		t.Fatalf("Train(random): %v", err)
+		t.Fatalf("TrainCtx(random): %v", err)
 	}
-	emb, err := Train(g, cfg)
+	emb, err := TrainCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -260,7 +279,7 @@ func TestModeString(t *testing.T) {
 
 func TestEmbedNewNode(t *testing.T) {
 	g, f0, f1 := twoFloorGraph(t, 20, 3, 6)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -293,7 +312,7 @@ func TestEmbedNewNode(t *testing.T) {
 
 func TestEmbedNewNodeWithNewMAC(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 10, 3, 7)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -323,7 +342,7 @@ func TestEmbedNewNodeWithNewMAC(t *testing.T) {
 // with the ego of the ego+context computation bit for bit.
 func TestEmbedDetachedOverlay(t *testing.T) {
 	g, f0, f1 := twoFloorGraph(t, 20, 3, 6)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -384,7 +403,7 @@ func TestEmbedDetachedOverlay(t *testing.T) {
 // found it.
 func TestEmbedDetachedSharedSampler(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 10, 3, 9)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -427,7 +446,7 @@ func TestEmbedDetachedSharedSampler(t *testing.T) {
 
 func TestEmbedNewNodeErrors(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 5, 3, 8)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -461,7 +480,7 @@ func TestModeLINEBoth(t *testing.T) {
 	g, f0, f1 := twoFloorGraph(t, 15, 3, 9)
 	cfg := DefaultConfig()
 	cfg.Mode = ModeLINEBoth
-	emb, err := Train(g, cfg)
+	emb, err := TrainCtx(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -500,7 +519,7 @@ func TestTrainFiniteProperty(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SamplesPerEdge = 10
 		cfg.Seed = seed
-		emb, err := Train(g, cfg)
+		emb, err := TrainCtx(context.Background(), g, cfg)
 		if err != nil {
 			return false
 		}

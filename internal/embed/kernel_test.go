@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rfgraph"
+	"repro/internal/sampling"
 	"repro/internal/simulate"
 )
 
@@ -50,17 +52,17 @@ func requireSameBits(t *testing.T, want, got *Embedding, label string) {
 	}
 }
 
-// skipWithoutAVX2 skips the kernel leg of a test where elineStep8 cannot
-// run.
+// skipWithoutAVX2 skips the kernel leg of a test where elineDraw and
+// elineApply cannot run.
 func skipWithoutAVX2(t *testing.T) {
 	t.Helper()
 	if !hasAVX2 {
-		t.Skip("CPUID/XGETBV report no AVX2 with OS-saved YMM state: elineStep8 never runs on this CPU")
+		t.Skip("CPUID/XGETBV report no AVX2 with OS-saved YMM state: the training kernels never run on this CPU")
 	}
 }
 
 // sampleTables is a dim-8 embedding of n nodes laid out as newEmbedding
-// lays it out, so elineStep8 can address it.
+// lays it out, so elineApply can address it.
 type sampleTables struct {
 	emb      *Embedding
 	ego, ctx []float64
@@ -87,34 +89,58 @@ func (s *sampleTables) clone() *sampleTables {
 	return c
 }
 
-// applyGo applies one E-LINE sample the way runChunk's Go path does.
+// applyGo applies one E-LINE sample the way runChunk's Go loop does.
 func (s *sampleTables) applyGo(i, j rfgraph.NodeID, zs []rfgraph.NodeID, lr float64) bool {
-	ws := newTrainScratch(Config{Dim: 8, NegativeSamples: len(zs)})
+	t := &trainer{emb: s.emb}
+	ws := newTrainScratch(Config{Dim: 8, NegativeSamples: len(zs)}, false)
 	copy(ws.zbuf, zs)
-	return sgdUpdate(s.emb.Ego[i], s.emb.Ctx, j, lr, ws) && sgdUpdate(s.emb.Ctx[i], s.emb.Ego, j, lr, ws)
+	return t.elineGo(i, j, lr, ws)
 }
 
-// applyKernel applies the same sample with elineStep8.
+// applyKernel applies the same sample with elineApply, as a one-sample
+// buffer, and reports whether it applied it.
 func (s *sampleTables) applyKernel(i, j rfgraph.NodeID, zs []rfgraph.NodeID, lr float64) bool {
-	ws := newTrainScratch(Config{Dim: 8, NegativeSamples: len(zs)})
-	return elineStep8(s.ego, s.ctx, i, j, zs, -lr, ws.gs)
+	ws := newTrainScratch(Config{Dim: 8, NegativeSamples: len(zs)}, false)
+	buf := append([]rfgraph.NodeID{i, j}, zs...)
+	return elineApply(s.ego, s.ctx, buf, len(buf), -lr, ws.gs) == 1
 }
 
-// TestELINEKernelMatchesGo pins elineStep8, the AVX2 E-LINE kernel, to
-// the Go kernels bit for bit. Each case runs the Go path first — a whole
-// fit, checked against the serial reference, or one crafted sample — and
-// then the kernel on the same input. Only the kernel leg skips, on a CPU
-// without AVX2.
+// drawGo draws chunk c of a run's sample stream as runChunk's Go loop
+// does, and returns its kept samples laid out as elineDraw writes them.
+func drawGo(tc *trainContext, cfg Config, chunkBase int64, c, n int) []rfgraph.NodeID {
+	rng := sampling.NewFast(sampling.SeedAt(chunkBase, c))
+	var out []rfgraph.NodeID
+	for s := 0; s < n; s++ {
+		if cfg.Dropout > 0 && rng.Float64() < cfg.Dropout {
+			continue
+		}
+		e := tc.edges[tc.edgeDist.DrawFast(rng)]
+		out = append(out, e.Src, e.Dst)
+		for k := 0; k < cfg.NegativeSamples; k++ {
+			out = append(out, tc.negNodes[tc.negDist.DrawFast(rng)])
+		}
+	}
+	return out
+}
+
+// TestELINEKernelMatchesGo pins the AVX2 E-LINE training kernels to the
+// Go loop bit for bit: elineDraw to its draws, elineApply to the Go
+// kernels' updates. Each case runs the Go path first — a whole fit,
+// checked against the serial reference, a chunk's draws, or crafted
+// samples — and then the kernel on the same input. Only the kernel leg
+// skips, on a CPU without AVX2.
 func TestELINEKernelMatchesGo(t *testing.T) {
+	twoFloor, _, _ := twoFloorGraph(t, 20, 3, 3)
+	// Two records of two MACs each: six nodes, so a negative draw is
+	// often i (the kernel declines), often j, and often a repeat.
+	tiny, _, _ := twoFloorGraph(t, 1, 2, 5)
+	graphs := []struct {
+		name string
+		g    *rfgraph.Graph
+	}{{"two-floor", twoFloor}, {"tiny", tiny}}
+
 	t.Run("fits", func(t *testing.T) {
-		twoFloor, _, _ := twoFloorGraph(t, 20, 3, 3)
-		// Two records of two MACs each: six nodes, so a negative draw is
-		// often i (the kernel declines), often j, and often a repeat.
-		tiny, _, _ := twoFloorGraph(t, 1, 2, 5)
-		for _, gc := range []struct {
-			name string
-			g    *rfgraph.Graph
-		}{{"two-floor", twoFloor}, {"tiny", tiny}} {
+		for _, gc := range graphs {
 			for _, dropout := range []float64{0, 0.1} {
 				for _, negatives := range []int{0, 1, 5, 20} {
 					name := fmt.Sprintf("%s/dropout%v/k%d", gc.name, dropout, negatives)
@@ -131,6 +157,9 @@ func TestELINEKernelMatchesGo(t *testing.T) {
 						requireSameBits(t, referenceTrain(t, gc.g, cfg), want, "Go path vs serial reference")
 						t.Run("kernel", func(t *testing.T) {
 							skipWithoutAVX2(t)
+							if !usesKernel(cfg) {
+								t.Fatal("this fit takes the Go loop even with AVX2")
+							}
 							got, err := train(context.Background(), gc.g, cfg, true)
 							if err != nil {
 								t.Fatalf("kernel: %v", err)
@@ -138,6 +167,43 @@ func TestELINEKernelMatchesGo(t *testing.T) {
 							requireSameBits(t, want, got, "kernel vs Go path")
 						})
 					})
+				}
+			}
+		}
+	})
+
+	// Draws: every chunk of a run, the final one partial, must fill the
+	// buffer with the Go loop's kept samples, entry for entry.
+	t.Run("draws", func(t *testing.T) {
+		skipWithoutAVX2(t)
+		const chunkBase = 7
+		for _, gc := range graphs {
+			tc, err := buildTrainContext(gc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dropout := range []float64{0, 0.1} {
+				for _, negatives := range []int{0, 1, 5, 20} {
+					cfg := DefaultConfig()
+					cfg.SamplesPerEdge = 129
+					cfg.Dropout = dropout
+					cfg.NegativeSamples = negatives
+					total := cfg.SamplesPerEdge * len(tc.edges)
+					if total < chunkSamples || total%chunkSamples == 0 {
+						t.Fatalf("%s: %d samples are not full chunks and a partial one", gc.name, total)
+					}
+					tab := newDrawTables(tc, cfg)
+					stride := negatives + 2
+					buf := make([]rfgraph.NodeID, chunkSamples*stride)
+					for c := 0; c*chunkSamples < total; c++ {
+						n := min(chunkSamples, total-c*chunkSamples)
+						want := drawGo(tc, cfg, chunkBase, c, n)
+						got := buf[:elineDraw(tab, sampling.SeedAt(chunkBase, c), n, buf[:n*stride])]
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s/dropout%v/k%d chunk %d of %d samples: kernel drew %d entries, Go %d, first difference at %d",
+								gc.name, dropout, negatives, c, n, len(got), len(want), firstDiff(got, want))
+						}
+					}
 				}
 			}
 		}
@@ -222,7 +288,8 @@ func TestELINEKernelMatchesGo(t *testing.T) {
 		})
 	}
 
-	// Declines: the kernel returns false and writes nothing.
+	// Declines: the kernel applies nothing of the sample and writes
+	// nothing.
 	declines := []struct {
 		name    string
 		zs      []rfgraph.NodeID
@@ -251,6 +318,39 @@ func TestELINEKernelMatchesGo(t *testing.T) {
 			})
 		})
 	}
+
+	// A chunk whose samples decline in the middle and at the end:
+	// applySamples applies every sample, in order, as the Go loop does.
+	t.Run("decline-at-chunk-end", func(t *testing.T) {
+		skipWithoutAVX2(t)
+		base := newSampleTables(6, rand.New(rand.NewSource(13)))
+		buf := []rfgraph.NodeID{
+			0, 1, 2, 3, 4,
+			2, 3, 1, 2, 0, // a negative equals i = 2
+			4, 5, 1, 1, 5,
+			1, 2, 3, 0, 1, // a negative equals i = 1: the chunk's last sample
+		}
+		const stride = 5
+		gs := newTrainScratch(Config{Dim: 8, NegativeSamples: stride - 2}, false).gs
+		if c := base.clone(); elineApply(c.ego, c.ctx, buf, stride, -lr, gs) != 1 {
+			t.Fatal("elineApply did not stop at the second sample")
+		}
+		if c := base.clone(); elineApply(c.ego, c.ctx, buf[3*stride:], stride, -lr, gs) != 0 {
+			t.Fatal("elineApply applied the declining last sample")
+		}
+		want := base.clone()
+		for s := 0; s < len(buf); s += stride {
+			if !want.applyGo(buf[s], buf[s+1], buf[s+2:s+stride], lr) {
+				t.Fatalf("Go path reported a NaN dot product at sample %d", s/stride)
+			}
+		}
+		got := base.clone()
+		tr := &trainer{emb: got.emb, ego: got.ego, ctx: got.ctx, cfg: Config{Dim: 8, NegativeSamples: stride - 2}}
+		if !tr.applySamples(buf, lr, newTrainScratch(tr.cfg, true)) {
+			t.Fatal("applySamples reported a NaN dot product")
+		}
+		requireSameBits(t, want.emb, got.emb, "chunk with declines")
+	})
 
 	// Random samples over random tables: values from well inside the
 	// sigmoid's range to far past its saturation, any number of
@@ -288,6 +388,16 @@ func TestELINEKernelMatchesGo(t *testing.T) {
 	})
 }
 
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []rfgraph.NodeID) int {
+	for k := range a {
+		if k >= len(b) || a[k] != b[k] {
+			return k
+		}
+	}
+	return len(a)
+}
+
 // TestTrainDivergedReturnsError: a learning rate far too large drives the
 // fit to non-finite values, which TrainCtx reports as ErrDiverged with no
 // embedding on the kernel path and the Go path alike: on a Campus3F
@@ -315,7 +425,7 @@ func TestTrainDivergedReturnsError(t *testing.T) {
 }
 
 // BenchmarkTrainELINE trains one Campus3F(40) building at the default
-// hyperparameters through the AVX2 kernel and through the Go kernels.
+// hyperparameters through the AVX2 kernels and through the Go loop.
 func BenchmarkTrainELINE(b *testing.B) {
 	g := campusGraph(b)
 	for _, leg := range []struct {

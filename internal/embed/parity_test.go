@@ -162,7 +162,7 @@ func TestParityMatchesSerialReference(t *testing.T) {
 			cfg.Seed = 42
 			tc.mut(&cfg)
 			want := referenceTrain(t, g, cfg)
-			got, err := Train(g, cfg)
+			got, err := TrainCtx(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatalf("Train: %v", err)
 			}
@@ -336,7 +336,7 @@ func TestOnlineMatchesSerialReference(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Dim = dim
 		cfg.SamplesPerEdge = 20
-		emb, err := Train(g, cfg)
+		emb, err := TrainCtx(context.Background(), g, cfg)
 		if err != nil {
 			t.Fatalf("Train: %v", err)
 		}

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // the returned ego is the start vector.
 func TestWarmStartMatchesBruteForce(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 20, 3, 6)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -69,7 +70,7 @@ func TestWarmStartMatchesBruteForce(t *testing.T) {
 // untouched.
 func TestWarmStartTableDropsRemovedMAC(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 10, 3, 7)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestWarmStartTableDropsRemovedMAC(t *testing.T) {
 // SGD leaves that start untouched.
 func TestWarmStartStaleTableFallsBack(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 10, 3, 8)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}

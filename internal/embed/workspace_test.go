@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // buffers.
 func TestWorkspaceReuseParity(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 20, 3, 6)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestWorkspaceReuseParity(t *testing.T) {
 // (run under -race this also proves the shared model is never written).
 func TestWorkspaceConcurrentIndependence(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 15, 3, 11)
-	emb, err := Train(g, DefaultConfig())
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -181,7 +182,7 @@ func fig06On(params simulate.Params, samplesPerEdge int, seed int64) ([]Fig06Row
 	ecfg := embed.DefaultConfig()
 	ecfg.SamplesPerEdge = samplesPerEdge
 	ecfg.Seed = seed
-	emb, err := embed.Train(g, ecfg)
+	emb, err := embed.TrainCtx(context.Background(), g, ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig6 e-line: %w", err)
 	}
@@ -237,7 +238,7 @@ func fig06On(params simulate.Params, samplesPerEdge int, seed int64) ([]Fig06Row
 			}
 			items[i] = cluster.Item{Index: i, Vec: vecs[i], Label: label}
 		}
-		model, err := cluster.Train(items)
+		model, err := cluster.TrainCtx(context.Background(), items)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: fig6 cluster %s: %w", name, err)
 		}

@@ -159,5 +159,12 @@ func (a *Alias) DrawFast(rng *Fast) int {
 	return int(a.alias[i])
 }
 
+// Tables returns the columns DrawFast reads: the coin threshold and the
+// alias of each slot. They let an assembly loop draw exactly as DrawFast
+// does; the caller must not modify them.
+func (a *Alias) Tables() (thresh []uint64, alias []int32) {
+	return a.thresh, a.alias
+}
+
 // Len returns the number of outcomes.
 func (a *Alias) Len() int { return len(a.prob) }
