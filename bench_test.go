@@ -449,7 +449,7 @@ func BenchmarkClassifyBatchNDJSON(b *testing.B) {
 	cfg.Embed = embed.DefaultConfig()
 	cfg.Embed.SamplesPerEdge = 60
 	p := portfolio.New(cfg)
-	if err := p.AddBuilding(corpus.Buildings[0].Name, train); err != nil {
+	if err := p.AddBuildingCtx(context.Background(), corpus.Buildings[0].Name, train); err != nil {
 		b.Fatal(err)
 	}
 	h := server.NewHandler(p, p, server.Options{})
@@ -521,13 +521,13 @@ func BenchmarkHotSwapClassify(b *testing.B) {
 	cfg := core.Config{}
 	cfg.Embed = embed.DefaultConfig()
 	cfg.Embed.SamplesPerEdge = 60
-	m, err := lifecycle.Open(cfg, lifecycle.Options{})
+	m, err := lifecycle.OpenCtx(context.Background(), cfg, lifecycle.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer m.Close()
 	const name = "campus"
-	if err := m.Portfolio().AddBuilding(name, train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), name, train); err != nil {
 		b.Fatal(err)
 	}
 

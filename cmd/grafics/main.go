@@ -91,7 +91,7 @@ func runTrain(args []string) error {
 	if err := sys.AddTraining(records); err != nil {
 		return err
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		return err
 	}
 	if err := sys.SaveFile(*modelPath); err != nil {
@@ -131,10 +131,10 @@ func runEval(args []string) error {
 	if err := sys.AddTraining(train); err != nil {
 		return err
 	}
-	if err := sys.Fit(); err != nil {
+	ctx := context.Background()
+	if err := sys.FitCtx(ctx); err != nil {
 		return err
 	}
-	ctx := context.Background()
 	conf := metrics.NewConfusion()
 	failures := 0
 	for i := range test {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,6 +232,29 @@ func TestMedianFit(t *testing.T) {
 	}
 	if runs[0].WallSeconds != 3 || runs[1].WallSeconds != 1 {
 		t.Error("medianFit reordered its argument")
+	}
+}
+
+func TestMedianReport(t *testing.T) {
+	var runs []bench.Report
+	for i, p95 := range []float64{0.3, 0.1, 1.5, 0.2, 0.4} {
+		runs = append(runs, bench.Report{
+			Scenario: "http/x/c4", Requests: 30, Errors: []int{0, 0, 2, 0, 0}[i],
+			Latency:     bench.LatencySummary{P50: p95 / 2, P95: p95},
+			AllocsPerOp: float64(140 + 5*i), BytesPerOp: float64(9000 - i),
+		})
+	}
+	got := medianReport(runs)
+	want := bench.Report{
+		Scenario: "http/x/c4", Requests: 30, Errors: 2,
+		Latency:     bench.LatencySummary{P50: 0.15, P95: 0.3},
+		AllocsPerOp: 150, BytesPerOp: 8998,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("medianReport = %+v, want %+v", got, want)
+	}
+	if runs[0].Latency.P95 != 0.3 || runs[1].Latency.P95 != 0.1 {
+		t.Error("medianReport reordered its argument")
 	}
 }
 

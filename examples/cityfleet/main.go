@@ -61,7 +61,8 @@ func main() {
 	os.RemoveAll(stateDir) // fresh demo run
 	cfg := core.Config{}
 	cfg.Embed = embed.DefaultConfig()
-	mgr, err := grafics.OpenLifecycle(cfg, grafics.LifecycleOptions{
+	ctx := context.Background()
+	mgr, err := grafics.OpenLifecycleCtx(ctx, cfg, grafics.LifecycleOptions{
 		StateDir: stateDir,
 		Policy:   grafics.LifecyclePolicy{RefitAfterAbsorbs: 200},
 	})
@@ -78,7 +79,7 @@ func main() {
 			log.Fatalf("split: %v", err)
 		}
 		dataset.SelectLabels(train, 4, rng)
-		if err := fleet.AddBuilding(b.Name, train); err != nil {
+		if err := fleet.AddBuildingCtx(ctx, b.Name, train); err != nil {
 			log.Fatalf("train %s: %v", b.Name, err)
 		}
 		holdout[b.Name] = test
@@ -88,7 +89,6 @@ func main() {
 	// Classify a stream of scans from random buildings, with no building
 	// hint: attribution + floor identification, with the v2 confidence
 	// signal alongside each decision.
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(77))
 	names := fleet.Buildings()
 	var okBuilding, okFloor, total int
@@ -156,7 +156,7 @@ func main() {
 	// Kill the fleet without ceremony — no close, no final snapshot — and
 	// warm-restart from the state dir: snapshot restore + WAL replay.
 	mgr = nil
-	restarted, err := grafics.OpenLifecycle(cfg, grafics.LifecycleOptions{StateDir: stateDir})
+	restarted, err := grafics.OpenLifecycleCtx(ctx, cfg, grafics.LifecycleOptions{StateDir: stateDir})
 	if err != nil {
 		log.Fatalf("warm restart: %v", err)
 	}

@@ -49,7 +49,8 @@ func main() {
 	if err := sys.AddTraining(train); err != nil {
 		log.Fatalf("add training: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	ctx := context.Background()
+	if err := sys.FitCtx(ctx); err != nil {
 		log.Fatalf("fit: %v", err)
 	}
 	fmt.Printf("geofence armed for tower %q (%d floors)\n\n", tower.Name, tower.Floors)
@@ -68,7 +69,6 @@ func main() {
 			trajectory: []int{1, 1, 0, 0, 0, 1, 1, 1}}, // wandered to lobby
 	}
 
-	ctx := context.Background()
 	for _, s := range subjects {
 		fmt.Printf("-- %s\n", s.name)
 		cursor := make(map[int]int)

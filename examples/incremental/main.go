@@ -43,12 +43,12 @@ func main() {
 	if err := sys.AddTraining(train); err != nil {
 		log.Fatalf("add training: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	ctx := context.Background()
+	if err := sys.FitCtx(ctx); err != nil {
 		log.Fatalf("fit: %v", err)
 	}
 	fmt.Printf("phase 0 — trained: %+v\n", sys.Stats())
 
-	ctx := context.Background()
 	accuracy := func(pool []grafics.Record) float64 {
 		correct, total := 0, 0
 		for i := range pool {

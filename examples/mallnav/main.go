@@ -42,7 +42,8 @@ func main() {
 	if err := sys.AddTraining(train); err != nil {
 		log.Fatalf("add training: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	ctx := context.Background()
+	if err := sys.FitCtx(ctx); err != nil {
 		log.Fatalf("fit: %v", err)
 	}
 
@@ -60,7 +61,6 @@ func main() {
 		journey = append(journey, f)
 	}
 
-	ctx := context.Background()
 	fmt.Println("\nshopper journey (scan -> predicted floor):")
 	cursor := make(map[int]int)
 	lastFloor := -1

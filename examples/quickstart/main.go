@@ -43,7 +43,8 @@ func main() {
 	if err := sys.AddTraining(train); err != nil {
 		log.Fatalf("add training: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	ctx := context.Background()
+	if err := sys.FitCtx(ctx); err != nil {
 		log.Fatalf("fit: %v", err)
 	}
 	st := sys.Stats()
@@ -52,7 +53,6 @@ func main() {
 	// 4. Online inference on every held-out scan. Classify is the
 	// context-first entry point: it honors cancellation/deadlines and
 	// reports a confidence for the winning floor.
-	ctx := context.Background()
 	correct := 0
 	var confSum float64
 	for i := range test {

@@ -25,21 +25,23 @@
 //
 //	sys := grafics.New(grafics.Config{})
 //	if err := sys.AddTraining(trainRecords); err != nil { ... }
-//	if err := sys.Fit(); err != nil { ... }
+//	if err := sys.FitCtx(ctx); err != nil { ... }
 //	res, err := sys.Classify(ctx, &scan)   // res.Floor is the answer
 //	// res.Confidence ∈ (0,1]; res.Candidates ranks runner-up floors
 //
 // Classify is the context-first inference entry point: it honors
 // cancellation and deadlines, and takes functional options —
 // [WithTopK] for ranked candidate floors, [WithAbsorb] to keep the scan
-// in the graph (the paper's crowd-growing deployment mode), [WithSeed]
-// for repeatable classifications, and [WithoutEmbedding] to skip
-// returning the embedding vector. ClassifyBatch fans a slice of scans
-// over a worker pool and aborts promptly when the context is cancelled.
-// Both [System] here and the multi-building portfolio implement the
-// [Classifier] interface.
+// in the graph (the paper's crowd-growing deployment mode), and
+// [WithoutEmbedding] to skip returning the embedding vector. A
+// classification is a function of the model and the scan: the online
+// embedding step is seeded from the scan's readings, so classifying the
+// same scan again gives the same Result. ClassifyBatch fans a slice of
+// scans over a worker pool and aborts promptly when the context is
+// cancelled. Both [System] here and the multi-building portfolio
+// implement the [Classifier] interface.
 //
-// For long-running deployments, [OpenLifecycle] wraps a fleet
+// For long-running deployments, [OpenLifecycleCtx] wraps a fleet
 // ([Portfolio]) with the durable model lifecycle: absorbed scans are
 // journaled to a write-ahead log and captured in portfolio snapshots
 // (surviving crashes and restarts), and stale models are re-fitted on
@@ -144,10 +146,6 @@ func WithTopK(k int) Option { return core.WithTopK(k) }
 // in the bipartite graph — the long-running crowdsourced deployment mode.
 func WithAbsorb() Option { return core.WithAbsorb() }
 
-// WithSeed fixes the randomness of the online embedding step, making the
-// classification deterministic and repeatable.
-func WithSeed(n int64) Option { return core.WithSeed(n) }
-
 // WithoutEmbedding omits the learned embedding from the Result.
 func WithoutEmbedding() Option { return core.WithoutEmbedding() }
 
@@ -208,7 +206,7 @@ func LoadPortfolio(dir string, cfg Config) (*Portfolio, error) {
 // hot-swapped in while reads continue. See internal/lifecycle.
 type LifecycleManager = lifecycle.Manager
 
-// LifecycleOptions configures OpenLifecycle (state directory, WAL
+// LifecycleOptions configures OpenLifecycleCtx (state directory, WAL
 // tuning, refit policy).
 type LifecycleOptions = lifecycle.Options
 
@@ -221,17 +219,11 @@ type LifecyclePolicy = lifecycle.Policy
 // snapshot, and refit progress per building).
 type LifecycleStatus = lifecycle.Status
 
-// OpenLifecycle restores (or cold-starts) a lifecycle-managed fleet:
+// OpenLifecycleCtx restores (or cold-starts) a lifecycle-managed fleet:
 // with a state directory it loads the latest portfolio snapshot, replays
 // the write-ahead log tail, and opens the journal for new absorbs.
-// It is OpenLifecycleCtx with a background context.
-func OpenLifecycle(cfg Config, opts LifecycleOptions) (*LifecycleManager, error) {
-	return lifecycle.Open(cfg, opts)
-}
-
-// OpenLifecycleCtx is OpenLifecycle with cancellation threaded into the
-// boot: cancelling ctx aborts snapshot restore and WAL replay. The ctx
-// governs only the open itself, not the returned manager's lifetime.
+// Cancelling ctx aborts snapshot restore and WAL replay; the ctx governs
+// only the open itself, not the returned manager's lifetime.
 func OpenLifecycleCtx(ctx context.Context, cfg Config, opts LifecycleOptions) (*LifecycleManager, error) {
 	return lifecycle.OpenCtx(ctx, cfg, opts)
 }

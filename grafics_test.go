@@ -33,7 +33,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := sys.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	correct := 0
@@ -63,7 +63,7 @@ func TestPublicAPIClassify(t *testing.T) {
 	if err := sys.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	var c grafics.Classifier = sys
@@ -106,7 +106,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 	if err := sys.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	var buf bytes.Buffer
@@ -124,7 +124,7 @@ func TestPublicAPIPersistence(t *testing.T) {
 
 func TestPublicAPIErrors(t *testing.T) {
 	sys := grafics.New(grafics.Config{})
-	if err := sys.Fit(); !errors.Is(err, grafics.ErrNoTraining) {
+	if err := sys.FitCtx(context.Background()); !errors.Is(err, grafics.ErrNoTraining) {
 		t.Errorf("Fit error = %v, want ErrNoTraining", err)
 	}
 	rec := grafics.Record{ID: "r", Readings: []grafics.Reading{{MAC: "m", RSS: -50}}}
@@ -142,7 +142,7 @@ func TestWeightModes(t *testing.T) {
 	if err := sys.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	if _, err := sys.Classify(context.Background(), &test[0]); err != nil {
@@ -170,7 +170,7 @@ func TestLINEModesViaPublicAPI(t *testing.T) {
 			if err := sys.AddTraining(train); err != nil {
 				t.Fatalf("AddTraining: %v", err)
 			}
-			if err := sys.Fit(); err != nil {
+			if err := sys.FitCtx(context.Background()); err != nil {
 				t.Fatalf("Fit: %v", err)
 			}
 		})

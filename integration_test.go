@@ -59,7 +59,7 @@ func TestIntegrationCorpusPipeline(t *testing.T) {
 	if err := sys.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 

@@ -21,6 +21,12 @@ type portfolio struct{}
 func (p *portfolio) AbsorbBuilding(id string) error { return nil }
 func (p *portfolio) RemoveMAC(mac string) error     { return nil }
 
+// system stands in for core.System: Carry absorbs a refit's drained
+// records into the new model.
+type system struct{}
+
+func (s *system) Carry(old *system, n int) error { return nil }
+
 type Manager struct {
 	log *Log
 	p   *portfolio
@@ -55,6 +61,12 @@ func (m *Manager) BadMutateOnErrBranch(r rec) error {
 		return err
 	}
 	return m.p.AbsorbBuilding(r.mac)
+}
+
+func (m *Manager) BadCarryBeforeCheck(r rec, next, old *system) error {
+	err := m.log.Append(r)
+	_ = next.Carry(old, 0) // want `before the journal append error is checked`
+	return err
 }
 
 func (m *Manager) GoodDirectReturn(r rec) error {

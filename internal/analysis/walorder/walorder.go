@@ -1,7 +1,8 @@
 // Package walorder enforces journal-before-ack inside internal/lifecycle:
 // a mutation of the wrapped portfolio (AbsorbBuilding, RemoveMAC,
-// ReplaceSystem, AddTraining, or a Classify call carrying WithAbsorb)
-// must not be reachable while a WAL append error is unresolved. Three
+// ReplaceSystem, AddTraining, a refit's Carry, or a Classify call
+// carrying WithAbsorb) must not be reachable while a WAL append error is
+// unresolved. Three
 // rules, checked statement-by-statement per function:
 //
 //   - Discarded journal error: calling Log.Append or a journal method as
@@ -39,12 +40,14 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// mutators are the portfolio state mutations journal-before-ack protects.
+// mutators are the portfolio state mutations journal-before-ack
+// protects. Carry absorbs a refit's drained records into the new model.
 var mutators = map[string]bool{
 	"AbsorbBuilding": true,
 	"RemoveMAC":      true,
 	"ReplaceSystem":  true,
 	"AddTraining":    true,
+	"Carry":          true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -61,14 +62,11 @@ var _ Classifier = (*System)(nil)
 type options struct {
 	topK        int
 	absorb      bool
-	seed        int64
-	seedSet     bool
 	noEmbedding bool
 }
 
 // defaultOptions returns the zero-option behavior: winner-only
-// candidates, read-only classification, sequence-derived randomness,
-// embedding included.
+// candidates, read-only classification, embedding included.
 func defaultOptions() options { return options{topK: 1} }
 
 // Option customizes one classification request.
@@ -84,11 +82,6 @@ func WithTopK(k int) Option { return func(o *options) { o.topK = k } }
 // the graph grows with the crowd. Absorbing classifications are exclusive
 // writers; read-only classifications (the default) run in parallel.
 func WithAbsorb() Option { return func(o *options) { o.absorb = true } }
-
-// WithSeed fixes the randomness of the online embedding step, making the
-// classification deterministic and repeatable. By default each request
-// draws a fresh seed from an internal sequence.
-func WithSeed(n int64) Option { return func(o *options) { o.seed = n; o.seedSet = true } }
 
 // WithoutEmbedding omits the learned ego embedding from the Result,
 // saving an allocation and response bytes when the caller only wants the
@@ -119,9 +112,6 @@ func (r Request) TopK() int { return r.opts.topK }
 
 // Absorb reports whether the request keeps the scan in the graph.
 func (r Request) Absorb() bool { return r.opts.absorb }
-
-// Seed reports the fixed embedding seed, if one was set.
-func (r Request) Seed() (int64, bool) { return r.opts.seed, r.opts.seedSet }
 
 // WantEmbedding reports whether the Result should carry the embedding.
 func (r Request) WantEmbedding() bool { return !r.opts.noEmbedding }
@@ -331,20 +321,44 @@ func (s *System) resultFromEgo(ego []float64, o options, ws *classifyWorkspace) 
 	return res
 }
 
-// incrementalFor resolves the embedding randomness of one request: a
-// fixed seed when the request set one (repeatable classifications),
-// otherwise the next value of the prediction sequence (seq), which
-// decorrelates successive requests.
+// incrementalFor resolves the embedding randomness of one scan: the
+// configured root seed plus scanSeed of its readings, so a read and an
+// absorb of the same scan embed alike, and a scan's answer depends only on
+// the model and the scan, not on which requests came before it.
 //
 //grafics:hotpath
-func (s *System) incrementalFor(o options, seq int64) embed.IncrementalConfig {
+func (s *System) incrementalFor(rec *dataset.Record) embed.IncrementalConfig {
 	inc := s.cfg.Incremental
-	if o.seedSet {
-		inc.Seed += o.seed
-	} else {
-		inc.Seed += seq
-	}
+	inc.Seed += int64(scanSeed(rec.Readings))
 	return inc
+}
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// scanSeed is FNV-1a 64 over the readings in the order sent: for each
+// reading the MAC's bytes, then the RSS's IEEE-754 bits in little-endian
+// byte order. The record ID takes no part, so an absorbed record carried
+// into a refit under its own name embeds like the scan it came from.
+//
+//grafics:hotpath
+func scanSeed(readings []dataset.Reading) uint64 {
+	h := uint64(fnvOffset64)
+	for i := range readings {
+		mac := readings[i].MAC
+		for j := 0; j < len(mac); j++ {
+			h = (h ^ uint64(mac[j])) * fnvPrime64
+		}
+		bits := math.Float64bits(readings[i].RSS)
+		for k := 0; k < 8; k++ {
+			h = (h ^ bits&0xff) * fnvPrime64
+			bits >>= 8
+		}
+	}
+	return h
 }
 
 // embedScanRLocked runs the read-only half of the §V pipeline: collect
@@ -373,8 +387,7 @@ func (s *System) embedScanRLocked(rec *dataset.Record, o options, ws *classifyWo
 		return nil, fmt.Errorf("core: scan edges: %w", err)
 	}
 	ws.clk.Mark(stageOverlay)
-	inc := s.incrementalFor(o, s.predictSeq.Add(1))
-	ego, err := embed.EmbedScan(&ws.embed, edges, s.emb, inc, s.neg)
+	ego, err := embed.EmbedScan(&ws.embed, edges, s.emb, s.incrementalFor(rec), s.neg)
 	if err != nil {
 		return nil, fmt.Errorf("core: online embedding: %w", err)
 	}
@@ -445,25 +458,52 @@ func (s *System) classifyRLocked(rec *dataset.Record, o options) (Result, error)
 }
 
 // absorbClassify is the write path behind WithAbsorb: classify the scan
-// and keep it (and any new MACs it introduced) in the bipartite graph.
-// On error the graph is rolled back to its prior state.
+// and keep it (and any new MACs it introduced) in the bipartite graph
+// under the name online-<n>-<id>, where n is the building's absorb count
+// after this absorb. The count lives in the snapshot and carries over a
+// refit, so a replica or a replay that applies the same absorbs names
+// them alike. A name already in the graph is skipped: a snapshot written
+// before the count was kept starts it at 0 beside records named by the
+// old request sequence. On error the graph is rolled back and the count
+// stays.
 func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o options) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	n := s.absorbSeq + 1
+	name := absorbName(n, rec.ID)
+	for _, taken := s.graph.RecordNode(name); taken; _, taken = s.graph.RecordNode(name) {
+		n++
+		name = absorbName(n, rec.ID)
+	}
+	ego, err := s.absorbLocked(rec, name)
+	if err != nil {
+		return Result{}, err
+	}
+	s.absorbSeq = n
+	return s.resultFromEgo(ego, o, nil), nil
+}
+
+// absorbName names the n-th absorb of the scan with the given ID.
+func absorbName(n int64, id string) string { return fmt.Sprintf("online-%d-%s", n, id) }
+
+// absorbLocked keeps rec in the graph under name: it inserts the record,
+// embeds it against the frozen model with the scan's seed, and appends it
+// to the absorbed history. It returns the record's live ego row. On
+// error the graph is rolled back to its prior state.
+//
+//grafics:locked mu
+func (s *System) absorbLocked(rec *dataset.Record, name string) ([]float64, error) {
 	if !s.trained {
-		return Result{}, ErrNotTrained
+		return nil, ErrNotTrained
 	}
 	if !s.knowsMAC(rec) {
-		return Result{}, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
+		return nil, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
 	}
-	seq := s.predictSeq.Add(1)
-	// Give the node a unique internal name so repeated absorbs of the
-	// same scan do not collide.
 	insert := *rec
-	insert.ID = fmt.Sprintf("online-%d-%s", seq, rec.ID)
+	insert.ID = name
 	newMACs := make(map[string]struct{})
 	for _, rd := range insert.Readings {
 		if _, ok := s.graph.MACNode(rd.MAC); !ok {
@@ -472,7 +512,7 @@ func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o opti
 	}
 	id, err := s.graph.AddRecord(&insert)
 	if err != nil {
-		return Result{}, fmt.Errorf("core: online insert: %w", err)
+		return nil, fmt.Errorf("core: online insert: %w", err)
 	}
 	// Any failure past this point must undo the insertion — including the
 	// MAC nodes it introduced — so a failed absorb leaves no residue.
@@ -486,15 +526,14 @@ func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o opti
 			_ = s.graph.RemoveMAC(mac)
 		}
 	}()
-	inc := s.incrementalFor(o, seq)
-	if err := embed.EmbedNewNode(s.graph, s.emb, id, inc, s.neg); err != nil {
-		return Result{}, fmt.Errorf("core: online embedding: %w", err)
+	if err := embed.EmbedNewNode(s.graph, s.emb, id, s.incrementalFor(rec), s.neg); err != nil {
+		return nil, fmt.Errorf("core: online embedding: %w", err)
 	}
-	// resultFromEgo copies the ego into the Result, so handing it the
-	// live table row is safe: we hold the write lock for the whole call.
+	// The caller hands the live table row to resultFromEgo, which copies
+	// it into the Result; safe because the write lock is held throughout.
 	ego := s.emb.EgoOf(id)
 	committed = true
-	// Remember the kept record (under its uniquified ID) so Save can
+	// Remember the kept record (under its internal name) so Save can
 	// persist the crowd-grown graph and a refit can train on it. MACs the
 	// scan just (re)introduced are live again: a previously retired AP
 	// that reappears in the crowd is treated as re-installed.
@@ -504,7 +543,36 @@ func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o opti
 	}
 	s.refreshSampler()
 	absorbsTotal.Inc()
-	return s.resultFromEgo(ego, o, nil), nil
+	return ego, nil
+}
+
+// Carry finishes a refit. s is a fresh fit of old's corpus as it stood
+// when old had absorbed n records. Carry absorbs old's later records into
+// s, each under the name it already has and with the seed of its scan,
+// and continues old's absorb count, so no later absorb reuses a name. The
+// caller keeps old from absorbing during the call. A record that cannot
+// be carried is skipped, and the returned error names it.
+func (s *System) Carry(old *System, n int) error {
+	tail, seq := old.absorbedSince(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var errs []error
+	for i := range tail {
+		if _, err := s.absorbLocked(&tail[i], tail[i].ID); err != nil {
+			errs = append(errs, fmt.Errorf("core: carry absorbed %q: %w", tail[i].ID, err))
+		}
+	}
+	s.absorbSeq = max(s.absorbSeq, seq)
+	return errors.Join(errs...)
+}
+
+// absorbedSince returns copies of the absorbed records from index n on,
+// and the absorb count, read together.
+func (s *System) absorbedSince(n int) ([]dataset.Record, int64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n = min(max(n, 0), len(s.absorbed))
+	return append([]dataset.Record(nil), s.absorbed[n:]...), s.absorbSeq
 }
 
 // ClassifyBatch classifies each record concurrently over a

@@ -32,7 +32,7 @@ func benchSystem(b *testing.B, recordsPerFloor int) (*System, []dataset.Record) 
 	if err := s.AddTraining(train); err != nil {
 		b.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		b.Fatalf("Fit: %v", err)
 	}
 	return s, test

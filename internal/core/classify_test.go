@@ -19,7 +19,7 @@ func trainedSystem(t *testing.T) (*System, []dataset.Record) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	return s, test
@@ -116,18 +116,6 @@ func TestClassifyOptions(t *testing.T) {
 	if res.Embedding != nil {
 		t.Error("WithoutEmbedding still returned an embedding")
 	}
-	// WithSeed makes classification deterministic and repeatable.
-	a, err := s.Classify(ctx, &test[1], WithSeed(42), WithTopK(-1))
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	b, err := s.Classify(ctx, &test[1], WithSeed(42), WithTopK(-1))
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	if a.Floor != b.Floor || a.Confidence != b.Confidence || a.Distance != b.Distance {
-		t.Errorf("WithSeed not deterministic: %+v vs %+v", a, b)
-	}
 }
 
 func TestClassifyContextCancelled(t *testing.T) {
@@ -218,9 +206,9 @@ func TestClassifyAbsorbGrowsGraph(t *testing.T) {
 }
 
 // TestAbsorbEmbedsLikeClassify: an absorb embeds its scan against the
-// live sampler of the graph before the insert, so with a fixed seed it
-// returns exactly what a read-only classify of the same scan returned the
-// moment before.
+// live sampler of the graph before the insert, with the seed a read of
+// the same scan uses, so it returns exactly what a read-only classify of
+// the scan returned the moment before.
 func TestAbsorbEmbedsLikeClassify(t *testing.T) {
 	s, test := trainedSystem(t)
 	ctx := context.Background()
@@ -234,11 +222,11 @@ func TestAbsorbEmbedsLikeClassify(t *testing.T) {
 		if !known {
 			continue
 		}
-		want, err := s.Classify(ctx, &rec, WithSeed(7))
+		want, err := s.Classify(ctx, &rec)
 		if err != nil {
 			t.Fatalf("Classify(%s): %v", rec.ID, err)
 		}
-		got, err := s.Classify(ctx, &rec, WithAbsorb(), WithSeed(7))
+		got, err := s.Classify(ctx, &rec, WithAbsorb())
 		if err != nil {
 			t.Fatalf("absorbing Classify(%s): %v", rec.ID, err)
 		}
@@ -286,21 +274,15 @@ func TestResultFromEgoNoLabels(t *testing.T) {
 
 func TestRequestAccessors(t *testing.T) {
 	rec := &dataset.Record{ID: "x"}
-	req := NewRequest(rec, WithTopK(5), WithAbsorb(), WithSeed(9), WithoutEmbedding())
+	req := NewRequest(rec, WithTopK(5), WithAbsorb(), WithoutEmbedding())
 	if req.Record != rec {
 		t.Error("record not bound")
 	}
 	if req.TopK() != 5 || !req.Absorb() || req.WantEmbedding() {
 		t.Errorf("accessors disagree with options: %+v", req)
 	}
-	if seed, ok := req.Seed(); !ok || seed != 9 {
-		t.Errorf("Seed() = %v,%v, want 9,true", seed, ok)
-	}
 	def := NewRequest(rec)
 	if def.TopK() != 1 || def.Absorb() || !def.WantEmbedding() {
 		t.Errorf("defaults wrong: %+v", def)
-	}
-	if _, ok := def.Seed(); ok {
-		t.Error("default request has a fixed seed")
 	}
 }

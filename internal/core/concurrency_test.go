@@ -16,7 +16,7 @@ func TestConcurrentPredictAndAbsorb(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	ctx := context.Background()
@@ -71,7 +71,7 @@ func TestPredictStressWithWriter(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	baseline := s.Stats()

@@ -7,18 +7,26 @@
 //
 // # Concurrency model
 //
-// A System is read-mostly. Once Fit has run, the bipartite graph, the
+// A System is read-mostly. Once FitCtx has run, the bipartite graph, the
 // embedding tables, and the cluster model form a frozen snapshot that
 // Classify/ClassifyBatch consult under a shared read lock: each
 // classification collects the scan's edges into the frozen graph
 // (rfgraph.Graph.ScanEdges) and embeds them against the frozen model
 // (embed.EmbedScan), writing nothing, so any number of classifications
-// run in parallel. The exclusive writers are AddTraining, Fit, absorbing
-// classifications (WithAbsorb), RemoveMAC, and Load: they take the write
-// lock, mutate the graph/embedding in place, and publish the new snapshot
-// to subsequent readers when the lock is released. ClassifyBatch fans work out over a
-// GOMAXPROCS-sized worker pool of such readers and honors context
-// cancellation (par.ForEachCtx).
+// run in parallel. The exclusive writers are AddTraining, FitCtx,
+// absorbing classifications (WithAbsorb), Carry, RemoveMAC, and Load:
+// they take the write lock, mutate the graph/embedding in place, and
+// publish the new snapshot to subsequent readers when the lock is
+// released. ClassifyBatch fans work out over a GOMAXPROCS-sized worker
+// pool of such readers and honors context cancellation (par.ForEachCtx).
+//
+// # Online randomness
+//
+// A scan's online embedding is seeded from the scan itself (the root
+// IncrementalConfig.Seed plus a hash of its readings), so a
+// classification is a function of the model and the scan alone: the
+// same scan gets the same Result however many requests came before it,
+// on any replica of the model.
 package core
 
 import (
@@ -96,14 +104,14 @@ func (c Config) normalized() Config {
 
 // Errors returned by the system lifecycle.
 var (
-	ErrNotTrained    = errors.New("core: system is not trained; call Fit first")
+	ErrNotTrained    = errors.New("core: system is not trained; call FitCtx first")
 	ErrAlreadyFit    = errors.New("core: system already trained")
 	ErrNoTraining    = errors.New("core: no training records added")
 	ErrOutOfBuilding = errors.New("core: record shares no MAC with the training data; likely collected outside the building")
 )
 
 // System is a GRAFICS floor-identification model. Create with New, feed
-// training records with AddTraining, train with Fit, then classify online
+// training records with AddTraining, train with FitCtx, then classify online
 // records with Classify (read-only by default; WithAbsorb keeps the scan
 // in the graph). A System is safe for concurrent use; see the package
 // documentation for the reader/writer split.
@@ -175,10 +183,13 @@ type System struct {
 	// grafics:guardedby mu
 	retireLog []RetireEvent
 
-	// predictSeq decorrelates the randomness of successive predictions
-	// and names absorbed records. Atomic so read-locked predictions can
-	// advance it without contending on mu.
-	predictSeq atomic.Int64
+	// absorbSeq is the n of the newest absorbed record's name,
+	// online-<n>-<id>, continued from the systems this one was refitted
+	// from (see absorbClassify and Carry). Only absorbs advance it, and
+	// the snapshot carries it, so it is replicated state.
+	//
+	// grafics:guardedby mu
+	absorbSeq int64
 
 	// samplerFailures counts negative-sampler rebuilds that failed and
 	// were absorbed (the stale sampler kept serving); lastSamplerErr holds
@@ -202,7 +213,7 @@ func New(cfg Config) *System {
 func (s *System) Config() Config { return s.cfg }
 
 // AddTraining inserts training records into the bipartite graph. Records
-// whose Labeled flag is set anchor clusters during Fit. Each record is
+// whose Labeled flag is set anchor clusters during FitCtx. Each record is
 // inserted atomically; on error, earlier records of the batch remain.
 func (s *System) AddTraining(records []dataset.Record) error {
 	s.mu.Lock()
@@ -221,19 +232,14 @@ func (s *System) AddTraining(records []dataset.Record) error {
 	return nil
 }
 
-// Fit runs offline training: E-LINE over the bipartite graph, then
+// FitCtx runs offline training: E-LINE over the bipartite graph, then
 // proximity-based hierarchical clustering of the record-node ego
-// embeddings anchored at the labeled records. It is FitCtx with a
-// background context.
-//
-//grafics:ctxok compatibility wrapper; callers migrate to FitCtx
-func (s *System) Fit() error { return s.FitCtx(context.Background()) }
-
-// FitCtx is Fit with cancellation threaded through both expensive stages
-// (embedding SGD and the constrained agglomeration), so a shutting-down
-// server aborts an in-flight background refit promptly instead of
-// finishing a model nobody will serve. A cancelled fit returns ctx.Err()
-// and leaves the system untrained — exactly as before the call.
+// embeddings anchored at the labeled records. Cancellation is threaded
+// through both expensive stages (embedding SGD and the constrained
+// agglomeration), so a shutting-down server aborts an in-flight
+// background refit promptly instead of finishing a model nobody will
+// serve. A cancelled fit returns ctx.Err() and leaves the system
+// untrained — exactly as before the call.
 func (s *System) FitCtx(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,7 +324,7 @@ func (s *System) SamplerRebuildFailures() (int64, string) {
 	return n, msg
 }
 
-// Trained reports whether Fit has completed.
+// Trained reports whether FitCtx has completed.
 func (s *System) Trained() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -432,23 +438,6 @@ func (s *System) AbsorbedRecords() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.absorbed)
-}
-
-// AbsorbedSince returns copies of the absorbed records from index n
-// onward, in insertion order. Pairing it with AbsorbedRecords lets a
-// caller drain exactly the absorbs that arrived after a point in time —
-// the model-lifecycle manager uses this to replay the absorbs that landed
-// while a background refit was training.
-func (s *System) AbsorbedSince(n int) []dataset.Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(s.absorbed) {
-		return nil
-	}
-	return append([]dataset.Record(nil), s.absorbed[n:]...)
 }
 
 // CorpusRecords returns copies of every record the model has accumulated:

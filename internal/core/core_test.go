@@ -43,7 +43,7 @@ func fastConfig() Config {
 
 func TestLifecycleErrors(t *testing.T) {
 	s := New(Config{})
-	if err := s.Fit(); !errors.Is(err, ErrNoTraining) {
+	if err := s.FitCtx(context.Background()); !errors.Is(err, ErrNoTraining) {
 		t.Errorf("Fit on empty = %v, want ErrNoTraining", err)
 	}
 	rec := dataset.Record{ID: "x", Readings: []dataset.Reading{{MAC: "m", RSS: -50}}}
@@ -64,10 +64,10 @@ func TestEndToEndAccuracy(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if err := s.Fit(); !errors.Is(err, ErrAlreadyFit) {
+	if err := s.FitCtx(context.Background()); !errors.Is(err, ErrAlreadyFit) {
 		t.Errorf("second Fit = %v, want ErrAlreadyFit", err)
 	}
 	if err := s.AddTraining(train[:1]); !errors.Is(err, ErrAlreadyFit) {
@@ -97,7 +97,7 @@ func TestPredictLeavesGraphUnchanged(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	before := s.Stats()
@@ -117,7 +117,7 @@ func TestAbsorbGrowsGraph(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	before := s.Stats()
@@ -136,7 +136,7 @@ func TestOutOfBuilding(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	alien := dataset.Record{ID: "alien", Readings: []dataset.Reading{
@@ -169,7 +169,7 @@ func TestOutOfBuildingBeatsBadWeight(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	alien := dataset.Record{ID: "alien", Readings: []dataset.Reading{
@@ -196,7 +196,7 @@ func TestTrainingAssignmentsQuality(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	labels, err := s.TrainingAssignments()
@@ -223,7 +223,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	var buf bytes.Buffer
@@ -270,7 +270,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	path := t.TempDir() + "/model.gob"
@@ -323,7 +323,7 @@ func TestLoadLegacyIncrementalConfig(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	var buf bytes.Buffer
@@ -348,7 +348,7 @@ func TestLoadLegacyIncrementalConfig(t *testing.T) {
 		Ego:          snap.Ego,
 		Ctx:          snap.Ctx,
 		Model:        snap.Model,
-		PredictSeq:   snap.PredictSeq,
+		PredictSeq:   int(snap.AbsorbSeq),
 	}
 	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
@@ -416,7 +416,7 @@ func TestLoadLegacyEmbedConfig(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	var buf bytes.Buffer
@@ -446,7 +446,7 @@ func TestLoadLegacyEmbedConfig(t *testing.T) {
 		Ego:          snap.Ego,
 		Ctx:          snap.Ctx,
 		Model:        snap.Model,
-		PredictSeq:   snap.PredictSeq,
+		PredictSeq:   int(snap.AbsorbSeq),
 	}
 	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
@@ -480,7 +480,7 @@ func TestLoadLegacyEmbedConfig(t *testing.T) {
 	if err := refit.AddTraining(loaded.CorpusRecords()); err != nil {
 		t.Fatalf("refit AddTraining: %v", err)
 	}
-	if err := refit.Fit(); err != nil {
+	if err := refit.FitCtx(context.Background()); err != nil {
 		t.Fatalf("refit Fit: %v", err)
 	}
 	for i := 0; i < s.TrainingRecords(); i++ {
@@ -519,7 +519,7 @@ func TestRemoveMAC(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	mac := train[0].Readings[0].MAC
@@ -546,7 +546,7 @@ func TestPredictErrorContract(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	before := s.Stats()
@@ -574,7 +574,7 @@ func TestAbsorbRollbackOnError(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	before := s.Stats()
@@ -597,7 +597,7 @@ func TestAbsorbRollbackOnError(t *testing.T) {
 	if err := s2.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s2.Fit(); err != nil {
+	if err := s2.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	if _, err := s2.Classify(context.Background(), &rec, WithAbsorb()); err != nil {
@@ -613,7 +613,7 @@ func TestPredictDoesNotGrowEmbedding(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	rows := len(s.emb.Ego)
@@ -633,7 +633,7 @@ func TestPredictBatch(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	preds, errs := s.ClassifyBatch(context.Background(), test[:8])

@@ -32,7 +32,11 @@ type snapshot struct {
 	Ego          [][]float64
 	Ctx          [][]float64
 	Model        cluster.Model
-	PredictSeq   int
+	// AbsorbSeq is the absorb count that names absorbed records. It
+	// decodes as 0 from snapshots written before it existed, whose
+	// records were named by a sequence that reads also advanced; an
+	// absorb skips any name such a corpus already holds.
+	AbsorbSeq int64
 }
 
 // Save serializes a trained system to w with encoding/gob. Save is a
@@ -53,7 +57,7 @@ func (s *System) Save(w io.Writer) error {
 		Ego:          s.emb.Ego,
 		Ctx:          s.emb.Ctx,
 		Model:        *s.model,
-		PredictSeq:   int(s.predictSeq.Load()),
+		AbsorbSeq:    s.absorbSeq,
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
 		return fmt.Errorf("core: encode snapshot: %w", err)
@@ -121,7 +125,7 @@ func Load(r io.Reader) (*System, error) {
 	model := snap.Model
 	s.model = &model
 	s.fidx = newFloorIndex(s.model)
-	s.predictSeq.Store(int64(snap.PredictSeq))
+	s.absorbSeq = snap.AbsorbSeq
 	s.trained = true
 	return s, nil
 }

@@ -8,13 +8,13 @@ import (
 )
 
 // TestClassifyPooledDeterminism: the pooled workspaces must be invisible —
-// a fixed-seed classification returns the identical result no matter which
+// a classification returns the identical result no matter which
 // (possibly dirty) workspace the pool hands the request, sequentially or
 // in parallel.
 func TestClassifyPooledDeterminism(t *testing.T) {
 	s, test := trainedSystem(t)
 	ctx := context.Background()
-	want, err := s.Classify(ctx, &test[0], WithSeed(42), WithTopK(-1))
+	want, err := s.Classify(ctx, &test[0], WithTopK(-1))
 	if err != nil {
 		t.Fatalf("Classify: %v", err)
 	}
@@ -23,7 +23,7 @@ func TestClassifyPooledDeterminism(t *testing.T) {
 		if _, err := s.Classify(ctx, &test[i%len(test)], WithTopK(2)); err != nil {
 			t.Fatalf("Classify (dirtying): %v", err)
 		}
-		got, err := s.Classify(ctx, &test[0], WithSeed(42), WithTopK(-1))
+		got, err := s.Classify(ctx, &test[0], WithTopK(-1))
 		if err != nil {
 			t.Fatalf("Classify (replay %d): %v", i, err)
 		}
@@ -36,7 +36,7 @@ func TestClassifyPooledDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = s.Classify(ctx, &test[0], WithSeed(42), WithTopK(-1))
+			results[w], errs[w] = s.Classify(ctx, &test[0], WithTopK(-1))
 		}(w)
 	}
 	wg.Wait()
@@ -75,7 +75,7 @@ func assertSameResult(t *testing.T, want, got Result) {
 func TestClassifyEmbeddingIsolated(t *testing.T) {
 	s, test := trainedSystem(t)
 	ctx := context.Background()
-	res, err := s.Classify(ctx, &test[0], WithSeed(7))
+	res, err := s.Classify(ctx, &test[0])
 	if err != nil {
 		t.Fatalf("Classify: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestClassifyPoolUnderConcurrentAbsorb(t *testing.T) {
 	if err := s.AddTraining(train); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := s.Fit(); err != nil {
+	if err := s.FitCtx(context.Background()); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	ctx := context.Background()

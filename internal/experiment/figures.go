@@ -290,7 +290,7 @@ func Fig08(recordsPerFloor, samplesPerEdge int, seed int64) ([]Fig08Row, error) 
 	if err := sys.AddTraining(records); err != nil {
 		return nil, err
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		return nil, err
 	}
 	model, err := sys.ClusterModel()

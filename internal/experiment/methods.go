@@ -49,7 +49,7 @@ func (g Grafics) FitPredict(train, test []dataset.Record, seed int64) ([]int, er
 	if err := sys.AddTraining(train); err != nil {
 		return nil, fmt.Errorf("experiment: grafics add training: %w", err)
 	}
-	if err := sys.Fit(); err != nil {
+	if err := sys.FitCtx(context.Background()); err != nil {
 		return nil, fmt.Errorf("experiment: grafics fit: %w", err)
 	}
 	out := make([]int, len(test))

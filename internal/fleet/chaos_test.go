@@ -228,7 +228,7 @@ func TestChaosDiskFullPrimaryDegradesAndResumes(t *testing.T) {
 	train, pool := campus(t, "gamma", 55)
 	dir := t.TempDir()
 	disk := fault.NewDisk()
-	m, err := lifecycle.Open(fastConfig(), lifecycle.Options{
+	m, err := lifecycle.OpenCtx(ctx, fastConfig(), lifecycle.Options{
 		StateDir:          dir,
 		Logf:              t.Logf,
 		DegradedThreshold: 2,
@@ -242,7 +242,7 @@ func TestChaosDiskFullPrimaryDegradesAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lifecycle.Open: %v", err)
 	}
-	if err := m.Portfolio().AddBuilding("gamma", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(ctx, "gamma", train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	if err := m.Snapshot(); err != nil {
@@ -315,7 +315,7 @@ func TestChaosDiskFullPrimaryDegradesAndResumes(t *testing.T) {
 	// Crash-restart audit: abandon the manager (no shutdown hooks) and
 	// reopen from disk. Every acked absorb must replay back.
 	srv.Close()
-	m2, err := lifecycle.Open(fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
+	m2, err := lifecycle.OpenCtx(ctx, fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestChaosTornWriteCrashRestart(t *testing.T) {
 	train, pool := campus(t, "delta", 77)
 	dir := t.TempDir()
 	disk := fault.NewDisk()
-	m, err := lifecycle.Open(fastConfig(), lifecycle.Options{
+	m, err := lifecycle.OpenCtx(context.Background(), fastConfig(), lifecycle.Options{
 		StateDir: dir,
 		Logf:     t.Logf,
 		WAL: wal.Options{
@@ -356,7 +356,7 @@ func TestChaosTornWriteCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lifecycle.Open: %v", err)
 	}
-	if err := m.Portfolio().AddBuilding("delta", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), "delta", train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	if err := m.Snapshot(); err != nil {
@@ -393,7 +393,7 @@ func TestChaosTornWriteCrashRestart(t *testing.T) {
 
 	// Crash: abandon the manager, reopen from disk (no fault hook — the
 	// torn bytes are already on disk; recovery must cope with them).
-	m2, err := lifecycle.Open(fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
+	m2, err := lifecycle.OpenCtx(ctx, fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen after torn write: %v", err)
 	}

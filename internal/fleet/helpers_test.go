@@ -48,11 +48,11 @@ func startPrimary(t *testing.T, ctx context.Context, building string, seed int64
 	t.Helper()
 	train, pool := campus(t, building, seed)
 	dir := t.TempDir()
-	m, err := lifecycle.Open(fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
+	m, err := lifecycle.OpenCtx(ctx, fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("lifecycle.Open: %v", err)
 	}
-	if err := m.Portfolio().AddBuilding(building, train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(ctx, building, train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	if err := m.Snapshot(); err != nil {

@@ -22,7 +22,7 @@ func TestFollowerApplyRacesHotSwap(t *testing.T) {
 	train, pool := campus(t, "alpha", 11)
 	cfg := fastConfig()
 	p := portfolio.New(cfg)
-	if err := p.AddBuilding("alpha", train); err != nil {
+	if err := p.AddBuildingCtx(ctx, "alpha", train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	// A second fitted system to swap against, as a lifecycle refit would.

@@ -47,7 +47,7 @@ func newShardFleet(t *testing.T, ctx context.Context, perGroup int) *shardFleet 
 	var groups [][]string
 	for g := 0; g < 2; g++ {
 		dir := t.TempDir()
-		m, err := lifecycle.Open(fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
+		m, err := lifecycle.OpenCtx(ctx, fastConfig(), lifecycle.Options{StateDir: dir, Logf: t.Logf})
 		if err != nil {
 			t.Fatalf("lifecycle.Open: %v", err)
 		}
@@ -60,7 +60,7 @@ func newShardFleet(t *testing.T, ctx context.Context, perGroup int) *shardFleet 
 				t.Fatalf("split: %v", err)
 			}
 			dataset.SelectLabels(train, 4, rng)
-			if err := m.Portfolio().AddBuilding(b.Name, train); err != nil {
+			if err := m.Portfolio().AddBuildingCtx(ctx, b.Name, train); err != nil {
 				t.Fatalf("AddBuilding: %v", err)
 			}
 			f.names = append(f.names, b.Name)

@@ -35,7 +35,7 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 		clock = clock.Add(d)
 	}
 
-	m, err := Open(fastConfig(), Options{
+	m, err := OpenCtx(context.Background(), fastConfig(), Options{
 		StateDir:          t.TempDir(),
 		Logf:              t.Logf,
 		Now:               now,
@@ -51,7 +51,7 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer m.Close()
-	if err := m.Portfolio().AddBuilding("campus", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), "campus", train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	ctx := context.Background()
@@ -130,7 +130,7 @@ func TestDegradedProbeFailureStaysDegraded(t *testing.T) {
 		clock = clock.Add(d)
 	}
 
-	m, err := Open(fastConfig(), Options{
+	m, err := OpenCtx(context.Background(), fastConfig(), Options{
 		StateDir:          t.TempDir(),
 		Logf:              t.Logf,
 		Now:               now,
@@ -146,7 +146,7 @@ func TestDegradedProbeFailureStaysDegraded(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer m.Close()
-	if err := m.Portfolio().AddBuilding("campus", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), "campus", train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	ctx := context.Background()

@@ -7,7 +7,7 @@
 // discards the crowd corpus. The Manager journals every absorb to an
 // append-only write-ahead log (internal/wal) before acknowledging it, and
 // periodically captures the whole fleet in a portfolio snapshot (manifest
-// plus per-building gobs under a state directory). Open restores the
+// plus per-building gobs under a state directory). OpenCtx restores the
 // snapshot and replays the WAL tail, so a SIGKILL loses at most the
 // absorb that was mid-append.
 //
@@ -148,7 +148,7 @@ type Manager struct {
 	// grafics:guardedby stmu
 	lastSnapshot time.Time
 	// grafics:guardedby stmu
-	replayed int // WAL records replayed at Open
+	replayed int // WAL records replayed at OpenCtx
 	// grafics:guardedby stmu
 	closing bool
 
@@ -177,26 +177,20 @@ type Manager struct {
 	degProbeAt time.Time
 }
 
-// Open restores (or cold-starts) a managed portfolio. With a StateDir, it
-// loads the portfolio snapshot if one exists (cold start otherwise),
-// replays the WAL tail — every absorb acknowledged after the last
-// snapshot — into the restored models, and opens the journal for new
-// absorbs. cfg configures buildings registered after the restore. It is
-// OpenCtx with a background context.
+// OpenCtx restores (or cold-starts) a managed portfolio. With a
+// StateDir, it loads the portfolio snapshot if one exists (cold start
+// otherwise), replays the WAL tail — every absorb acknowledged after the
+// last snapshot — into the restored models, and opens the journal for
+// new absorbs. cfg configures buildings registered after the restore.
 //
-//grafics:ctxok compatibility wrapper; callers migrate to OpenCtx
-func Open(cfg core.Config, opts Options) (*Manager, error) {
-	return OpenCtx(context.Background(), cfg, opts)
-}
-
-// OpenCtx is Open with cancellation threaded through the boot sequence:
-// WAL-tail replay re-runs every absorb acknowledged since the last
-// snapshot through the full inference pipeline, which on a large fleet
-// is the slow half of a restart, so a cancelled ctx (deploy rollback,
-// SIGTERM during boot) aborts the restore promptly with ctx.Err()
-// instead of finishing a boot nobody wants. ctx governs only the open
-// itself, not the returned Manager's lifetime — background refits are
-// cancelled by Close, not by ctx.
+// Cancellation is threaded through the boot sequence: WAL-tail replay
+// re-runs every absorb acknowledged since the last snapshot through the
+// full inference pipeline, which on a large fleet is the slow half of a
+// restart, so a cancelled ctx (deploy rollback, SIGTERM during boot)
+// aborts the restore promptly with ctx.Err() instead of finishing a boot
+// nobody wants. ctx governs only the open itself, not the returned
+// Manager's lifetime — background refits are cancelled by Close, not by
+// ctx.
 func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, error) {
 	logf := opts.Logf
 	if logf == nil {
@@ -794,19 +788,16 @@ func (m *Manager) refitOnce(ctx context.Context, name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Drain: absorbs that landed while Fit was running exist in the old
-	// model and the WAL but not in the new fit; replay them so the swap
-	// loses nothing. New absorbs are blocked (m.mu held exclusively), so
-	// the tail is final. The drain itself runs to completion even on a
-	// cancelled ctx — it is cheap, and stopping halfway would swap in a
-	// model missing acknowledged absorbs.
-	// grafics:ctxok deliberate: the drain must finish even on a cancelled refit ctx
-	drainCtx := context.Background()
-	for _, rec := range sys.AbsorbedSince(drained) {
-		if _, err := next.Classify(drainCtx, &rec, core.WithAbsorb()); err != nil {
-			// The corpus is a superset of the old model's, so this is
-			// near-impossible; the scan stays journaled for the next boot.
-			m.logf("lifecycle: refit %q: could not carry absorbed %q forward: %v", name, rec.ID, err)
-		}
+	// model and the WAL but not in the new fit; carry them over under
+	// their names, with the old model's absorb count, so the swap loses
+	// nothing and renames nothing. New absorbs are blocked (m.mu held
+	// exclusively), so the tail is final. The drain runs to completion
+	// even on a cancelled ctx — it is cheap, and stopping halfway would
+	// swap in a model missing acknowledged absorbs.
+	if err := next.Carry(sys, drained); err != nil {
+		// The corpus is a superset of the old model's, so this is
+		// near-impossible; the scans stay journaled for the next boot.
+		m.logf("lifecycle: refit %q: could not carry every absorb forward: %v", name, err)
 	}
 	// Retirements that landed while Fit was running (or that a replayed
 	// tail absorb re-introduced out of order) are settled against the old

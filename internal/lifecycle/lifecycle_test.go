@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,12 +46,12 @@ func campus(t testing.TB, recordsPerFloor int, seed int64) (train, test []datase
 // openManaged opens a Manager over a fresh campus fleet.
 func openManaged(t *testing.T, dir string, pol Policy, train []dataset.Record) *Manager {
 	t.Helper()
-	m, err := Open(fastConfig(), Options{StateDir: dir, Policy: pol, Logf: t.Logf})
+	m, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Policy: pol, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	if len(m.Portfolio().Buildings()) == 0 {
-		if err := m.Portfolio().AddBuilding("campus", train); err != nil {
+		if err := m.Portfolio().AddBuildingCtx(context.Background(), "campus", train); err != nil {
 			t.Fatalf("AddBuilding: %v", err)
 		}
 	}
@@ -117,7 +119,7 @@ func TestCrashRecovery(t *testing.T) {
 	absorbN(t, m, test[1:], 4)
 	// No Snapshot, no Close: simulate a SIGKILL by abandoning the manager.
 
-	m2, err := Open(fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	m2, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -172,7 +174,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := Open(fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	m2, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("boot with torn WAL tail: %v", err)
 	}
@@ -275,7 +277,7 @@ func TestRefitCorrectness(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	m2, err := Open(fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	m2, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -361,7 +363,7 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Open(fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	m2, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +409,7 @@ func TestAgeTrigger(t *testing.T) {
 		defer clock.mu.Unlock()
 		return clock.now
 	}
-	m, err := Open(fastConfig(), Options{
+	m, err := OpenCtx(context.Background(), fastConfig(), Options{
 		StateDir: dir,
 		Policy:   Policy{MaxModelAge: time.Hour, CheckInterval: 10 * time.Millisecond},
 		Logf:     t.Logf,
@@ -417,7 +419,7 @@ func TestAgeTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.Portfolio().AddBuilding("campus", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), "campus", train); err != nil {
 		t.Fatal(err)
 	}
 	m.state("campus") // materialize lastFit under the fake clock
@@ -440,12 +442,12 @@ func TestAgeTrigger(t *testing.T) {
 // disabled: no WAL, no snapshots, refits still happen.
 func TestManagerWithoutStateDir(t *testing.T) {
 	train, test := campus(t, 30, 29)
-	m, err := Open(fastConfig(), Options{Policy: Policy{RefitAfterAbsorbs: 3}, Logf: t.Logf})
+	m, err := OpenCtx(context.Background(), fastConfig(), Options{Policy: Policy{RefitAfterAbsorbs: 3}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.Portfolio().AddBuilding("campus", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), "campus", train); err != nil {
 		t.Fatal(err)
 	}
 	absorbN(t, m, test, 3)
@@ -478,7 +480,7 @@ func TestRetirementSurvivesCrashAndRefit(t *testing.T) {
 	}
 	// SIGKILL: abandon without snapshot; the retirement lives only in the
 	// WAL.
-	m2, err := Open(fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	m2, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -512,7 +514,7 @@ func TestRetirementSurvivesCrashAndRefit(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m3, err := Open(fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	m3, err := OpenCtx(context.Background(), fastConfig(), Options{StateDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("reopen after refit: %v", err)
 	}
@@ -548,5 +550,161 @@ func TestWALRecordShape(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Building != "campus" || got[0].Scan.ID != rec.ID {
 		t.Fatalf("journal = %+v, want one campus record %q", got, rec.ID)
+	}
+}
+
+// absorbedNames lists the names of a building's crowd records, training
+// (carried by refits) and absorbed, in the order they were absorbed.
+func absorbedNames(t *testing.T, m *Manager, building string) []string {
+	t.Helper()
+	sys, err := m.Portfolio().System(building)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, rec := range sys.CorpusRecords() {
+		if strings.HasPrefix(rec.ID, "online-") {
+			names = append(names, rec.ID)
+		}
+	}
+	return names
+}
+
+// TestReplayReproducesModel: the served model is a function of its log.
+// Reads between absorbs change nothing, so a crash and a WAL replay give
+// the same absorbed names and bit-identical classifications.
+func TestReplayReproducesModel(t *testing.T) {
+	dir := t.TempDir()
+	train, test := campus(t, 30, 41)
+	m := openManaged(t, dir, Policy{}, train)
+	if err := m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	ctx := context.Background()
+	absorbs, probes := test[:5], test[5:]
+	if len(probes) < 22 {
+		t.Fatalf("only %d probe scans, want 22", len(probes))
+	}
+	probes = probes[:22]
+	for i := range absorbs {
+		for j := 0; j < 3; j++ {
+			if _, err := m.Classify(ctx, &probes[(3*i+j)%len(probes)]); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+		}
+		if _, err := m.Classify(ctx, &absorbs[i], core.WithAbsorb()); err != nil {
+			t.Fatalf("absorb %d: %v", i, err)
+		}
+	}
+	classifyAll := func(m *Manager) []core.Result {
+		out := make([]core.Result, len(probes))
+		for i := range probes {
+			res, err := m.Classify(ctx, &probes[i], core.WithTopK(-1))
+			if err != nil {
+				t.Fatalf("classify probe %d: %v", i, err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+	names, want := absorbedNames(t, m, "campus"), classifyAll(m)
+	// No Snapshot, no Close: simulate a SIGKILL by abandoning the manager.
+
+	m2, err := OpenCtx(ctx, fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer m2.Close()
+	if got := m2.Status().Replayed; got != len(absorbs) {
+		t.Fatalf("replayed %d absorbs, want %d", got, len(absorbs))
+	}
+	if got := absorbedNames(t, m2, "campus"); !reflect.DeepEqual(got, names) {
+		t.Fatalf("replay named the absorbs %v, the crashed manager %v", got, names)
+	}
+	got := classifyAll(m2)
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("probe %d after replay: %+v, before the crash %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// heldCtx holds a refit inside its fit: the first Err call, which comes
+// after the refit copied its corpus, closes reached and waits for
+// release. Absorbs made meanwhile are exactly the refit's drain.
+type heldCtx struct {
+	context.Context
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (c *heldCtx) Err() error {
+	c.once.Do(func() {
+		close(c.reached)
+		<-c.release
+	})
+	return c.Context.Err()
+}
+
+// TestRefitKeepsAbsorbNames: a refit carries the building's absorb count,
+// so a scan absorbed before the refit can be absorbed again after it, and
+// the drain keeps the names of the absorbs that raced the fit.
+func TestRefitKeepsAbsorbNames(t *testing.T) {
+	train, test := campus(t, 40, 43)
+	ctx := context.Background()
+	m, err := OpenCtx(ctx, fastConfig(), Options{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer m.Close()
+	if err := m.Portfolio().AddBuildingCtx(ctx, "campus", train); err != nil {
+		t.Fatalf("AddBuilding: %v", err)
+	}
+	var want []string
+	absorb := func(rec dataset.Record) {
+		t.Helper()
+		if _, err := m.Classify(ctx, &rec, core.WithAbsorb()); err != nil {
+			t.Fatalf("absorb %s (absorb %d): %v", rec.ID, len(want)+1, err)
+		}
+		want = append(want, fmt.Sprintf("online-%d-%s", len(want)+1, rec.ID))
+	}
+	refit := func() {
+		t.Helper()
+		if started, err := m.ForceRefit("campus"); err != nil || len(started) != 1 {
+			t.Fatalf("ForceRefit: started=%v err=%v", started, err)
+		}
+	}
+	absorb(test[0])
+	refit()
+	waitRefitDone(t, m)
+	absorb(test[0])
+
+	// Hold the second refit's fit while six absorbs land, so all six are
+	// carried over by the drain.
+	held := &heldCtx{Context: m.refitCtx, reached: make(chan struct{}), release: make(chan struct{})}
+	m.refitCtx = held
+	release := sync.OnceFunc(func() { close(held.release) })
+	defer release() // before m.Close, which waits for the refit
+	refit()
+	<-held.reached
+	for i := 1; i <= 6; i++ {
+		absorb(test[i])
+	}
+	release()
+	waitRefitDone(t, m)
+	next, err := m.Portfolio().System("campus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.AbsorbedRecords(); got != 6 {
+		t.Fatalf("the refit carried %d absorbs over, want the 6 that raced its fit", got)
+	}
+	absorb(test[1])
+	if st := m.Status(); st.Buildings[0].LastRefitError != "" {
+		t.Fatalf("refit error: %s", st.Buildings[0].LastRefitError)
+	}
+	if got := absorbedNames(t, m, "campus"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("crowd records %v, want %v", got, want)
 	}
 }

@@ -25,12 +25,12 @@ func slowConfig() core.Config {
 // machine; Close during the refit must return in a fraction of that.
 func TestCloseAbortsInFlightRefit(t *testing.T) {
 	train, test := campus(t, 40, 21)
-	m, err := Open(slowConfig(), Options{Logf: t.Logf})
+	m, err := OpenCtx(context.Background(), slowConfig(), Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	fitStart := time.Now()
-	if err := m.Portfolio().AddBuilding("campus", train); err != nil {
+	if err := m.Portfolio().AddBuildingCtx(context.Background(), "campus", train); err != nil {
 		t.Fatalf("AddBuilding: %v", err)
 	}
 	fitDuration := time.Since(fitStart)

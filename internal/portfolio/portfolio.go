@@ -87,23 +87,15 @@ func New(cfg core.Config) *Portfolio {
 	}
 }
 
-// AddBuilding registers a building's training records (already labeled per
-// the usual budget) and trains its System. Names that cannot be addressed
-// as a route segment (the empty name, "." and "..", or names containing a
-// path separator) are rejected with ErrReservedName.
-// It is AddBuildingCtx with a background context.
-//
-//grafics:ctxok compatibility wrapper; callers migrate to AddBuildingCtx
-func (p *Portfolio) AddBuilding(name string, train []dataset.Record) error {
-	return p.AddBuildingCtx(context.Background(), name, train)
-}
-
-// AddBuildingCtx is AddBuilding with cancellation threaded into the fit.
-// The expensive offline training runs without holding the portfolio lock,
-// so classifications against already-registered buildings — and other
-// registrations — proceed while a new building fits; the name is reserved
-// up front so a duplicate registration fails fast rather than after
-// minutes of training.
+// AddBuildingCtx registers a building's training records (already labeled
+// per the usual budget) and trains its System, with cancellation threaded
+// into the fit. Names that cannot be addressed as a route segment (the
+// empty name, "." and "..", or names containing a path separator) are
+// rejected with ErrReservedName. The expensive offline training runs
+// without holding the portfolio lock, so classifications against
+// already-registered buildings — and other registrations — proceed while
+// a new building fits; the name is reserved up front so a duplicate
+// registration fails fast rather than after minutes of training.
 func (p *Portfolio) AddBuildingCtx(ctx context.Context, name string, train []dataset.Record) error {
 	if err := p.reserve(name); err != nil {
 		return err

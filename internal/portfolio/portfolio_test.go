@@ -39,7 +39,7 @@ func fleet(t *testing.T, n int, seed int64) (*Portfolio, map[string][]dataset.Re
 			t.Fatalf("split: %v", err)
 		}
 		dataset.SelectLabels(train, 4, rng)
-		if err := p.AddBuilding(b.Name, train); err != nil {
+		if err := p.AddBuildingCtx(context.Background(), b.Name, train); err != nil {
 			t.Fatalf("AddBuilding(%s): %v", b.Name, err)
 		}
 		tests[b.Name] = test
@@ -64,7 +64,7 @@ func TestEmptyPortfolio(t *testing.T) {
 func TestDuplicateBuilding(t *testing.T) {
 	p, _ := fleet(t, 1, 1)
 	name := p.Buildings()[0]
-	if err := p.AddBuilding(name, nil); !errors.Is(err, ErrDuplicateName) {
+	if err := p.AddBuildingCtx(context.Background(), name, nil); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("duplicate = %v, want ErrDuplicateName", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestDuplicateBuilding(t *testing.T) {
 func TestReservedBuildingNames(t *testing.T) {
 	p := New(core.Config{})
 	for _, name := range []string{"", "a/b", ".", ".."} {
-		if err := p.AddBuilding(name, nil); !errors.Is(err, ErrReservedName) {
+		if err := p.AddBuildingCtx(context.Background(), name, nil); !errors.Is(err, ErrReservedName) {
 			t.Errorf("AddBuilding(%q) = %v, want ErrReservedName", name, err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestReservedBuildingNames(t *testing.T) {
 	// corpora contain spaces ("North Tower"); only un-encodable names are
 	// rejected. Route-like words such as "batch" are ordinary names.
 	for _, name := range []string{"North Tower", "tab\tname", "ünïcode", "batch"} {
-		if err := p.AddBuilding(name, nil); errors.Is(err, ErrReservedName) {
+		if err := p.AddBuildingCtx(context.Background(), name, nil); errors.Is(err, ErrReservedName) {
 			t.Errorf("AddBuilding(%q) rejected as reserved; only validation, not training, should fail", name)
 		}
 	}
@@ -283,6 +283,36 @@ func TestClassifyRouted(t *testing.T) {
 	}
 }
 
+// TestClassifyRoutedMatchesOwner: attribution only picks the building, so
+// a fleet classification equals the owning System's own classification
+// of the scan, in either order.
+func TestClassifyRoutedMatchesOwner(t *testing.T) {
+	p, tests := fleet(t, 2, 8)
+	ctx := context.Background()
+	for name, pool := range tests {
+		sys, err := p.System(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pool[:10] {
+			routed, err := p.ClassifyRouted(ctx, &pool[i], core.WithTopK(-1))
+			if err != nil {
+				t.Fatalf("ClassifyRouted(%s): %v", pool[i].ID, err)
+			}
+			if routed.Building != name {
+				t.Fatalf("%s routed to %q, want %q", pool[i].ID, routed.Building, name)
+			}
+			own, err := sys.Classify(ctx, &pool[i], core.WithTopK(-1))
+			if err != nil {
+				t.Fatalf("Classify(%s): %v", pool[i].ID, err)
+			}
+			if !reflect.DeepEqual(routed.Result, own) {
+				t.Fatalf("scan %s: fleet gave %+v, owning building %+v", pool[i].ID, routed.Result, own)
+			}
+		}
+	}
+}
+
 func TestClassifyBatchCancelledPortfolio(t *testing.T) {
 	p, tests := fleet(t, 2, 9)
 	var recs []dataset.Record
@@ -406,7 +436,7 @@ func TestClassifyDuringHotSwapAndAbsorb(t *testing.T) {
 	if err := replacement.AddTraining(old.CorpusRecords()); err != nil {
 		t.Fatalf("AddTraining: %v", err)
 	}
-	if err := replacement.Fit(); err != nil {
+	if err := replacement.FitCtx(ctx); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 
@@ -571,11 +601,11 @@ func TestAddBuildingsMatchesSerialFits(t *testing.T) {
 			}
 		}
 		for i := range c.Train[:20] {
-			wr, err := want.Classify(ctx, &c.Train[i], core.WithSeed(7))
+			wr, err := want.Classify(ctx, &c.Train[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			gr, err := got.Classify(ctx, &c.Train[i], core.WithSeed(7))
+			gr, err := got.Classify(ctx, &c.Train[i])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,10 +31,16 @@ type Alias struct {
 }
 
 // NewAlias builds an alias table for the (unnormalized, non-negative)
-// weights. Negative weights are rejected.
+// weights. Negative weights are rejected. The table holds only its own
+// columns: the builder's work buffers are garbage once it returns.
 func NewAlias(weights []float64) (*Alias, error) {
 	var b AliasBuilder
-	return b.Rebuild(weights)
+	a, err := b.Rebuild(weights)
+	if err != nil {
+		return nil, err
+	}
+	table := *a
+	return &table, nil
 }
 
 // AliasBuilder builds alias tables into reusable storage, so hot paths

@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +261,38 @@ func TestDrawFastThresholdBoundary(t *testing.T) {
 	got := float64(counts[0]) / draws
 	if got < 0.22 || got > 0.28 {
 		t.Errorf("outcome 0 frequency %.4f, want ~0.25", got)
+	}
+}
+
+// TestNewAliasRetainsOnlyItsColumns: a table from NewAlias keeps its
+// three columns (prob, alias and thresh: 20 bytes per outcome) and not
+// the builder's scaled column and work stacks, which every fit's edge
+// table and every served model's negative sampler would otherwise carry.
+func TestNewAliasRetainsOnlyItsColumns(t *testing.T) {
+	const tables, outcomes = 200, 1000
+	weights := make([]float64, outcomes)
+	for i := range weights {
+		weights[i] = float64(i%7 + 1)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	keep := make([]*Alias, tables)
+	before := heap()
+	for i := range keep {
+		a, err := NewAlias(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep[i] = a
+	}
+	after := heap()
+	runtime.KeepAlive(keep)
+	perOutcome := (float64(after) - float64(before)) / (tables * outcomes)
+	if perOutcome > 24 {
+		t.Fatalf("%.1f bytes per outcome stay reachable, want at most 24 (20 for the columns, plus size-class rounding)", perOutcome)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -27,7 +28,7 @@ func managedServer(t *testing.T, pol lifecycle.Policy) (*httptest.Server, *lifec
 	cfg := core.Config{}
 	cfg.Embed = embed.DefaultConfig()
 	cfg.Embed.SamplesPerEdge = 40
-	m, err := lifecycle.Open(cfg, lifecycle.Options{StateDir: dir, Policy: pol, Logf: t.Logf})
+	m, err := lifecycle.OpenCtx(context.Background(), cfg, lifecycle.Options{StateDir: dir, Policy: pol, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("lifecycle.Open: %v", err)
 	}
@@ -47,7 +48,7 @@ func managedServer(t *testing.T, pol lifecycle.Policy) (*httptest.Server, *lifec
 			t.Fatalf("split: %v", err)
 		}
 		dataset.SelectLabels(train, 4, rng)
-		if err := m.Portfolio().AddBuilding(b.Name, train); err != nil {
+		if err := m.Portfolio().AddBuildingCtx(context.Background(), b.Name, train); err != nil {
 			t.Fatalf("AddBuilding: %v", err)
 		}
 		tests[b.Name] = test

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -39,7 +40,7 @@ func testPortfolio(t *testing.T) (*portfolio.Portfolio, map[string][]dataset.Rec
 			t.Fatalf("split: %v", err)
 		}
 		dataset.SelectLabels(train, 4, rng)
-		if err := p.AddBuilding(b.Name, train); err != nil {
+		if err := p.AddBuildingCtx(context.Background(), b.Name, train); err != nil {
 			t.Fatalf("AddBuilding: %v", err)
 		}
 		tests[b.Name] = test
