@@ -468,6 +468,6 @@ func (f *Follower) ClassifyRoutedBatch(ctx context.Context, records []dataset.Re
 	return f.p.ClassifyRoutedBatch(ctx, records, opts...)
 }
 
-func (f *Follower) RemoveMAC(string) (int, error) {
+func (f *Follower) RemoveMAC(context.Context, string) (int, error) {
 	return 0, fmt.Errorf("%w (primary: %s)", server.ErrReadOnly, f.Primary())
 }

@@ -70,10 +70,9 @@ type roleState struct {
 // pointer is stable across the transition, so routing and handlers never
 // dangle.
 type Node struct {
-	p       *portfolio.Portfolio
-	opts    NodeOptions
-	logf    func(string, ...any)
-	lifeCtx context.Context
+	p    *portfolio.Portfolio
+	opts NodeOptions
+	logf func(string, ...any)
 
 	state atomic.Pointer[roleState]
 	mux   *http.ServeMux
@@ -83,24 +82,26 @@ type Node struct {
 }
 
 // NewPrimaryNode wraps an already-open durable manager as a shard
-// primary. lifeCtx should span the process lifetime.
-func NewPrimaryNode(lifeCtx context.Context, m *lifecycle.Manager, opts NodeOptions) (*Node, error) {
+// primary. The node keeps no context: every wait it makes (a semi-sync
+// ack, a promotion) runs under the request that asked for it.
+func NewPrimaryNode(_ context.Context, m *lifecycle.Manager, opts NodeOptions) (*Node, error) {
 	if opts.StateDir == "" {
 		return nil, fmt.Errorf("fleet: primary node requires a state dir")
 	}
-	n := newNode(lifeCtx, m.Portfolio(), opts)
+	n := newNode(m.Portfolio(), opts)
 	src, err := NewSource(m, opts.StateDir, n.logf)
 	if err != nil {
 		return nil, err
 	}
-	pr := NewPrimary(lifeCtx, m, src, opts.Primary)
+	pr := NewPrimary(m, src, opts.Primary)
 	n.state.Store(&roleState{role: RolePrimary, primary: pr, handler: n.buildRoleHandler(RolePrimary, pr, nil)})
 	return n, nil
 }
 
 // NewFollowerNode builds a read replica of opts.Follower.Primary. Call
-// Start to begin tailing.
-func NewFollowerNode(lifeCtx context.Context, opts NodeOptions) (*Node, error) {
+// Start to begin tailing; like NewPrimaryNode, the node keeps no
+// context.
+func NewFollowerNode(_ context.Context, opts NodeOptions) (*Node, error) {
 	fo := opts.Follower
 	if fo.StateDir == "" {
 		fo.StateDir = opts.StateDir
@@ -113,17 +114,17 @@ func NewFollowerNode(lifeCtx context.Context, opts NodeOptions) (*Node, error) {
 		return nil, err
 	}
 	opts.Follower = fo
-	n := newNode(lifeCtx, f.Portfolio(), opts)
+	n := newNode(f.Portfolio(), opts)
 	n.state.Store(&roleState{role: RoleFollower, follower: f, handler: n.buildRoleHandler(RoleFollower, nil, f)})
 	return n, nil
 }
 
-func newNode(lifeCtx context.Context, p *portfolio.Portfolio, opts NodeOptions) *Node {
+func newNode(p *portfolio.Portfolio, opts NodeOptions) *Node {
 	logf := opts.Logf
 	if logf == nil {
 		logf = nopLogf
 	}
-	n := &Node{p: p, opts: opts, logf: logf, lifeCtx: lifeCtx}
+	n := &Node{p: p, opts: opts, logf: logf}
 	mux := http.NewServeMux()
 	nhandle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, obs.InstrumentHandler(pattern, h))
@@ -182,9 +183,10 @@ func (n *Node) Start(ctx context.Context) {
 	}
 }
 
-// Close stops background work. It does not close a manager passed into
-// NewPrimaryNode (the caller owns it), but does close a manager created
-// by promotion.
+// Close stops background work (a follower's tailing). It closes no
+// lifecycle manager, neither one passed into NewPrimaryNode nor one
+// created by promotion: the caller closes Manager(), as graficsd's
+// shutdown does.
 func (n *Node) Close() error {
 	n.promoteMu.Lock()
 	defer n.promoteMu.Unlock()
@@ -239,7 +241,7 @@ func (n *Node) Promote(ctx context.Context) (PromoteResult, error) {
 		m.Close()
 		return PromoteResult{}, err
 	}
-	pr := NewPrimary(n.lifeCtx, m, src, n.opts.Primary)
+	pr := NewPrimary(m, src, n.opts.Primary)
 	n.state.Store(&roleState{role: RolePrimary, primary: pr, handler: n.buildRoleHandler(RolePrimary, pr, nil)})
 	if epoch, pos, ok := m.WALPosition(); ok {
 		res.NewEpoch = epoch

@@ -21,9 +21,6 @@ type Primary struct {
 	src     *Source
 	minAcks int
 	ackWait time.Duration
-	// lifeCtx bounds semi-sync waits on code paths that have no request
-	// context of their own (the Router interface's RemoveMAC).
-	lifeCtx context.Context
 }
 
 // PrimaryOptions tunes semi-synchronous replication.
@@ -39,14 +36,12 @@ type PrimaryOptions struct {
 var _ server.Router = (*Primary)(nil)
 
 // NewPrimary builds the primary role over an already-open manager.
-// lifeCtx should span the process (or test) lifetime.
-func NewPrimary(lifeCtx context.Context, m *lifecycle.Manager, src *Source, opts PrimaryOptions) *Primary {
+func NewPrimary(m *lifecycle.Manager, src *Source, opts PrimaryOptions) *Primary {
 	return &Primary{
 		m:       m,
 		src:     src,
 		minAcks: opts.MinSyncAcks,
 		ackWait: nonZero(opts.AckTimeout, defaultAckTimeout),
-		lifeCtx: lifeCtx,
 	}
 }
 
@@ -96,10 +91,10 @@ func (pr *Primary) ClassifyRoutedBatch(ctx context.Context, records []dataset.Re
 	return routed, errs
 }
 
-func (pr *Primary) RemoveMAC(mac string) (int, error) {
-	n, err := pr.m.RemoveMAC(mac)
+func (pr *Primary) RemoveMAC(ctx context.Context, mac string) (int, error) {
+	n, err := pr.m.RemoveMAC(ctx, mac)
 	if err == nil && n > 0 {
-		err = pr.waitReplicated(pr.lifeCtx)
+		err = pr.waitReplicated(ctx)
 	}
 	return n, err
 }

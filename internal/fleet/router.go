@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/portfolio"
@@ -35,9 +37,6 @@ type RouterOptions struct {
 	// FailThreshold is how many consecutive failed polls mark a member
 	// down (default 3).
 	FailThreshold int
-	// DisableFailover turns off automatic promotion (manual promote via
-	// the admin surface still works).
-	DisableFailover bool
 	// HTTPTimeout bounds each forwarded or health request.
 	HTTPTimeout time.Duration
 	// RetryBudget bounds the retry attempts (with jittered exponential
@@ -93,10 +92,6 @@ type FleetStatus struct {
 	Groups  []GroupStatus `json:"groups"`
 }
 
-// routerMaxBatch bounds a routed batch; every scan is a hop of its own,
-// so the cap is tighter than a node's.
-const routerMaxBatch = 4096
-
 // routerBatchWorkers bounds concurrently routed scans inside one batch.
 const routerBatchWorkers = 16
 
@@ -107,8 +102,8 @@ const routerBatchWorkers = 16
 // connections and dial them again on the next burst.
 const routerIdleConnsPerHost = 100
 
-// failoverCooldown is how long a group waits between promotion attempts,
-// in health intervals.
+// failoverCooldownTicks is how long a group waits between promotion
+// attempts, in health intervals.
 const failoverCooldownTicks = 5
 
 // forwardRetryBase is the first backoff step for a retried write
@@ -120,7 +115,9 @@ const forwardRetryBase = 100 * time.Millisecond
 // MAC index to the one group holding its building, spreads reads over
 // that group's caught-up followers, forwards writes to its primary,
 // aggregates stats, health-checks every member, and promotes the
-// freshest follower when a primary dies.
+// freshest follower when a primary dies. It is a server.Router and a
+// server.Catalog, so it serves the node's own HTTP surface
+// (server.NewHandler) beside the /v2/admin/fleet routes.
 type Router struct {
 	opts   RouterOptions
 	groups [][]string
@@ -239,22 +236,27 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	rt.index.Store(portfolio.NewMACIndex())
 	mux := http.NewServeMux()
-	rhandle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, obs.InstrumentHandler(pattern, h))
+	rhandle := func(method, path string, h http.HandlerFunc) {
+		mux.HandleFunc(method+" "+path, obs.InstrumentHandler(method+" "+path, h))
+		// Another method on path must not fall through "/" to the node
+		// surface's 404: it is a 405, as on a mux without "/".
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", method)
+			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		})
 	}
-	rhandle("GET /v2/healthz", rt.handleHealthz)
-	rhandle("GET /v2/stats", rt.handleStats)
-	rhandle("GET /v2/metrics", obs.Default().Handler().ServeHTTP)
-	rhandle("POST /v2/classify", rt.handleClassify("/v2/classify"))
-	rhandle("POST /v2/absorb", rt.handleClassify("/v2/absorb"))
-	rhandle("POST /v2/classify/batch", rt.handleClassifyBatch)
-	rhandle("DELETE /v2/macs/{mac}", rt.handleRemoveMAC)
-	rhandle("GET /v2/admin/fleet", rt.handleFleet)
-	rhandle("POST /v2/admin/fleet/promote", rt.handleFleetPromote)
-	rhandle("POST /v2/admin/fleet/drain", rt.handleFleetDrain)
+	rhandle(http.MethodGet, "/v2/admin/fleet", rt.handleFleet)
+	rhandle(http.MethodPost, "/v2/admin/fleet/promote", rt.handleFleetPromote)
+	rhandle(http.MethodPost, "/v2/admin/fleet/drain", rt.handleFleetDrain)
+	mux.Handle("/", server.NewHandler(rt, rt, server.Options{Repl: rt.replInfo}))
 	rt.mux = mux
 	return rt, nil
 }
+
+var (
+	_ server.Router  = (*Router)(nil)
+	_ server.Catalog = (*Router)(nil)
+)
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
@@ -293,9 +295,7 @@ func (rt *Router) loop(ctx context.Context) {
 		case <-t.C:
 		}
 		rt.pollAll(ctx)
-		if !rt.opts.DisableFailover {
-			rt.checkFailover(ctx)
-		}
+		rt.checkFailover(ctx)
 	}
 }
 
@@ -579,19 +579,14 @@ func (rt *Router) promoteGroup(ctx context.Context, gi int, candidates []MemberS
 	return target, nil
 }
 
-// pickRead selects the member of group gi to serve a read: ready,
+// pickRead selects the member of group gi to serve a read, skipping
+// the members in tried (already tried and failed this request): ready,
 // undrained followers round-robin first (spreading load off the
 // primary), then a healthy primary, then any healthy member (stale reads
 // beat no reads during a failover window). Members whose circuit
 // breaker is open are shed from every pool — their recovery is probed
 // by health polls, not client traffic.
-func (rt *Router) pickRead(gi int) (string, bool) {
-	return rt.pickReadExcluding(gi, nil)
-}
-
-// pickReadExcluding is pickRead minus the members a scatter already
-// tried and failed this request.
-func (rt *Router) pickReadExcluding(gi int, tried map[string]bool) (string, bool) {
+func (rt *Router) pickRead(gi int, tried map[string]bool) (string, bool) {
 	states := rt.groupStates(gi)
 	var followers, primaries, healthy []string
 	for _, ms := range states {
@@ -721,7 +716,7 @@ func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOut
 		attempts = n
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
-		url, ok := rt.pickReadExcluding(gi, tried)
+		url, ok := rt.pickRead(gi, tried)
 		if !ok {
 			break
 		}
@@ -753,7 +748,7 @@ func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOut
 	return o
 }
 
-// bestOutcome picks the scattered answer to relay: the 200 with the
+// bestOutcome picks the scattered answer to give: the 200 with the
 // highest MAC overlap (the lowest group on equal overlap), else the
 // lowest group's failure. A 422 means "no building of mine matches" and
 // is skipped, so nil means no group attributes the scan.
@@ -780,59 +775,95 @@ func bestOutcome(outcomes []scatterOutcome) *scatterOutcome {
 	return firstErr
 }
 
-// handleClassify serves POST /v2/classify and /v2/absorb (path). The
-// router decodes the scan with the node's decoder (server.DecodeScan),
-// to refuse what a node refuses and to read its MACs; the node gets the
-// body as received, on the same route.
-func (rt *Router) handleClassify(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var body bytes.Buffer
-		req, status, err := server.DecodeScan(w, r, &body)
-		if err != nil {
-			writeJSONError(w, status, err)
-			return
-		}
-		req.Absorb = req.Absorb || path == "/v2/absorb"
-		rt.routeClassify(r.Context(), w, &req, path, body.Bytes())
+// ClassifyRouted routes one scan as a node would classify it. The
+// index names the group holding the scan's building: a read goes to one
+// of its members, an absorb to its primary. Only a scan whose MACs no
+// group has reported is scattered — a read to every group, an absorb to
+// locate its owner first. A node's 200 is decoded into the Routed it
+// reports; any other answer, and a group that gave none, is a
+// *server.StatusError, which the HTTP surface answers with unchanged.
+func (rt *Router) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts ...core.Option) (portfolio.Routed, error) {
+	req := core.NewRequest(rec, opts...)
+	// One body serves every hop: an absorb goes to /v2/absorb, which
+	// absorbs without the field.
+	body, err := json.Marshal(&server.ClassifyRequest{ID: rec.ID, Readings: rec.Readings, TopK: req.TopK()})
+	if err != nil {
+		return portfolio.Routed{}, err
 	}
-}
-
-// routeClassify routes one scan, whose request body is body, to path.
-// The index names the group holding the scan's building: a read goes to
-// one of its members, an absorb to its primary, and the node's reply is
-// relayed as is. Only a scan whose MACs no group has reported is
-// scattered — a read to every group, an absorb to locate its owner
-// first.
-func (rt *Router) routeClassify(ctx context.Context, w http.ResponseWriter, req *server.ClassifyRequest, path string, body []byte) {
-	gi, ok := rt.index.Load().Route(req.Readings)
+	gi, ok := rt.index.Load().Route(rec.Readings)
 	if !ok {
-		if !req.Absorb {
+		if !req.Absorb() {
 			routedScatter.Inc()
-			writeOutcome(w, bestOutcome(rt.scatterClassify(ctx, body)))
-			return
+			return bestOutcome(rt.scatterClassify(ctx, body)).result()
 		}
-		var o *scatterOutcome
-		if gi, o = rt.locateOwner(ctx, req); gi < 0 {
-			writeOutcome(w, o)
-			return
+		// An absorb goes to the group a read-only scatter attributes it
+		// to; a single-group fleet skips the extra round trip.
+		gi = 0
+		if len(rt.groups) > 1 {
+			o := bestOutcome(rt.scatterClassify(ctx, body))
+			if o == nil || o.parsed == nil {
+				return o.result()
+			}
+			gi = o.group
 		}
 	}
 	spanDone := obs.StartSpan(ctx, "forward")
-	if !req.Absorb {
+	if !req.Absorb() {
 		routedIndex.Inc()
 		o := rt.readGroup(ctx, gi, body)
 		spanDone()
-		writeOutcome(w, &o)
-		return
+		return o.result()
 	}
-	rep, err := rt.forwardWrite(ctx, gi, path, body)
+	rep, err := rt.forwardWrite(ctx, gi, "/v2/absorb", body)
 	spanDone()
 	if err != nil {
-		writeJSONError(w, http.StatusBadGateway, fmt.Errorf("fleet: forward absorb: %w", err))
-		return
+		return portfolio.Routed{}, &server.StatusError{Status: http.StatusBadGateway, Msg: "fleet: forward absorb: " + err.Error()}
 	}
 	forwardedWritesTotal.Inc()
-	relay(w, rep)
+	return rep.result()
+}
+
+// result is a group's answer as ClassifyRouted returns it: a 502 when
+// the group gave none, and a 422 for nil, when no group attributes the
+// scan.
+func (o *scatterOutcome) result() (portfolio.Routed, error) {
+	switch {
+	case o == nil:
+		return portfolio.Routed{}, &server.StatusError{Status: http.StatusUnprocessableEntity, Msg: "fleet: no group attributes this scan"}
+	case o.err != nil:
+		return portfolio.Routed{}, &server.StatusError{Status: http.StatusBadGateway, Msg: o.err.Error()}
+	case o.parsed != nil:
+		return o.parsed.Routed(), nil
+	}
+	return o.reply.result()
+}
+
+// result decodes a node's classify answer: a 200 into the Routed it
+// reports, anything else into a *server.StatusError with the node's
+// status, Retry-After and message.
+func (rep reply) result() (portfolio.Routed, error) {
+	if rep.status != http.StatusOK {
+		return portfolio.Routed{}, &server.StatusError{Status: rep.status, RetryAfter: rep.retryAfter, Msg: errorMessage(rep.body, rep.status)}
+	}
+	var cr server.ClassifyResponse
+	if err := json.Unmarshal(rep.body, &cr); err != nil {
+		return portfolio.Routed{}, &server.StatusError{Status: http.StatusBadGateway, Msg: "fleet: malformed node response: " + err.Error()}
+	}
+	return cr.Routed(), nil
+}
+
+// ClassifyRoutedBatch routes each scan as ClassifyRouted does, at most
+// routerBatchWorkers at a time. Once ctx is done, the scans not yet
+// routed fail with its error.
+func (rt *Router) ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error) {
+	routed := make([]portfolio.Routed, len(records))
+	errs := make([]error, len(records))
+	_ = par.ForEachCtxFillBounded(ctx, len(records), routerBatchWorkers, func(i int) {
+		routed[i], errs[i] = rt.ClassifyRouted(ctx, &records[i], opts...)
+	}, func(i int, err error) {
+		errs[i] = err
+	})
+	return routed, errs
 }
 
 // forwardWrite relays a write to group gi's primary, retrying with
@@ -897,153 +928,29 @@ func retryableWriteStatus(status int) bool {
 	return false
 }
 
-// locateOwner attributes a scan the index cannot place via read-only
-// scatter and returns the owning group, or -1 with the outcome to relay.
-// A single-group fleet skips the extra round trip.
-func (rt *Router) locateOwner(ctx context.Context, req *server.ClassifyRequest) (int, *scatterOutcome) {
-	if len(rt.groups) == 1 {
-		return 0, nil
-	}
-	probe := *req
-	probe.Absorb = false
-	body, _ := json.Marshal(&probe)
-	o := bestOutcome(rt.scatterClassify(ctx, body))
-	if o == nil || o.parsed == nil {
-		return -1, o
-	}
-	return o.group, nil
-}
-
-// writeOutcome relays a group's answer: 502 when the group never gave
-// one, and 422 for nil, when no group attributes the scan.
-func writeOutcome(w http.ResponseWriter, o *scatterOutcome) {
-	switch {
-	case o == nil:
-		writeJSONError(w, http.StatusUnprocessableEntity,
-			errors.New("fleet: no group attributes this scan"))
-	case o.err != nil:
-		writeJSONError(w, http.StatusBadGateway, o.err)
-	default:
-		relay(w, o.reply)
-	}
-}
-
-// handleClassifyBatch serves POST /v2/classify/batch: scans decode at
-// the router with the node's own decoder (server.DecodeBatch), each
-// routes independently with bounded parallelism, and results stream back
-// as NDJSON in request order.
-func (rt *Router) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	absorbParam := r.URL.Query().Get("absorb")
-	absorb := false
-	if absorbParam != "" {
-		v, err := strconv.ParseBool(absorbParam)
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("query absorb: %w", err))
-			return
-		}
-		absorb = v
-	}
-	topK := 0
-	if s := r.URL.Query().Get("top_k"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, fmt.Errorf("query top_k: %w", err))
-			return
-		}
-		topK = v
-	}
-	recs, status, err := server.DecodeBatch(w, r)
-	if err != nil {
-		writeJSONError(w, status, err)
-		return
-	}
-	if len(recs) > routerMaxBatch {
-		writeJSONError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("fleet: batch exceeds %d scans", routerMaxBatch))
-		return
-	}
-	ctx := r.Context()
-	type lineResult struct {
-		status int
-		body   []byte
-	}
-	results := make([]lineResult, len(recs))
-	_ = par.ForEachCtxBounded(ctx, len(recs), routerBatchWorkers, func(i int) {
-		req := server.ClassifyRequest{ID: recs[i].ID, Readings: recs[i].Readings, TopK: topK, Absorb: absorb}
-		body, _ := json.Marshal(&req)
-		rec := &routeRecorder{}
-		rt.routeClassify(ctx, rec, &req, "/v2/classify", body)
-		results[i] = lineResult{status: rec.status, body: rec.body.Bytes()}
-	})
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i, res := range results {
-		item := server.StreamItem{ID: recs[i].ID}
-		if res.status == http.StatusOK {
-			var cr server.ClassifyResponse
-			if err := json.Unmarshal(res.body, &cr); err == nil {
-				item.Result = &cr
-			} else {
-				item.Error = "fleet: malformed node response"
-			}
-		} else if res.status == 0 {
-			item.Error = "fleet: scan not routed (request cancelled)"
-		} else {
-			item.Error = errorMessage(res.body, res.status)
-		}
-		if err := enc.Encode(item); err != nil {
-			return
-		}
-		if flusher != nil && i%64 == 63 {
-			flusher.Flush()
-		}
-	}
-}
-
-// routeRecorder captures one routed scan's response for batch assembly.
-type routeRecorder struct {
-	status int
-	header http.Header
-	body   bytes.Buffer
-}
-
-func (rr *routeRecorder) Header() http.Header {
-	if rr.header == nil {
-		rr.header = make(http.Header)
-	}
-	return rr.header
-}
-func (rr *routeRecorder) WriteHeader(status int) { rr.status = status }
-func (rr *routeRecorder) Write(p []byte) (int, error) {
-	if rr.status == 0 {
-		rr.status = http.StatusOK
-	}
-	return rr.body.Write(p)
-}
-
-// handleRemoveMAC broadcasts a MAC retirement to every group's primary
-// and sums the touched-building counts. The MAC arrives unescaped, so it
+// RemoveMAC broadcasts a MAC retirement to every group's primary and
+// sums the touched-building counts. A group that answers anything but
+// 200 or 404 (or none at all) makes the whole call a 502 with that
+// group's message, whatever the other groups answered, since the MAC
+// may still be live there; a retry is safe, because a group that has
+// already retired the MAC answers 404. The MAC arrives unescaped, so it
 // is escaped again for the hop: "aa%3Fbb" must not reach a node as
 // "aa?bb", which would retire "aa".
-func (rt *Router) handleRemoveMAC(w http.ResponseWriter, r *http.Request) {
-	mac := r.PathValue("mac")
+func (rt *Router) RemoveMAC(ctx context.Context, mac string) (int, error) {
 	total := 0
 	found := false
-	var lastErr error
+	var failed error
 	for gi := range rt.groups {
 		primary, ok := rt.pickPrimary(gi)
 		if !ok {
-			lastErr = fmt.Errorf("fleet: group %d has no primary", gi)
+			failed = fmt.Errorf("fleet: group %d has no primary", gi)
 			continue
 		}
-		rep, err := rt.forward(r.Context(), http.MethodDelete, primary, "/v2/macs/"+url.PathEscape(mac), nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch rep.status {
-		case http.StatusOK:
+		rep, err := rt.forward(ctx, http.MethodDelete, primary, "/v2/macs/"+url.PathEscape(mac), nil)
+		switch {
+		case err != nil:
+			failed = err
+		case rep.status == http.StatusOK:
 			var body struct {
 				Buildings int `json:"buildings"`
 			}
@@ -1051,32 +958,35 @@ func (rt *Router) handleRemoveMAC(w http.ResponseWriter, r *http.Request) {
 				total += body.Buildings
 			}
 			found = true
-		case http.StatusNotFound:
-		default:
-			lastErr = fmt.Errorf("fleet: retire on %s: %s", primary, errorMessage(rep.body, rep.status))
+		case rep.status != http.StatusNotFound:
+			failed = fmt.Errorf("fleet: retire on %s: %s", primary, errorMessage(rep.body, rep.status))
 		}
 	}
 	switch {
-	case found:
-		writeJSON(w, http.StatusOK, map[string]any{"mac": mac, "buildings": total})
-	case lastErr != nil:
-		writeJSONError(w, http.StatusBadGateway, lastErr)
-	default:
-		writeJSONError(w, http.StatusNotFound, fmt.Errorf("unknown MAC %q", mac))
+	case failed != nil:
+		return 0, &server.StatusError{Status: http.StatusBadGateway, Msg: failed.Error()}
+	case !found:
+		return 0, &server.StatusError{Status: http.StatusNotFound, Msg: fmt.Sprintf("unknown MAC %q", mac)}
 	}
+	return total, nil
 }
 
-// handleStats aggregates /v2/stats across groups (one node per group).
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	agg := server.StatsResponse{}
+// Buildings names the buildings the routing index holds, sorted.
+func (rt *Router) Buildings() []string { return rt.index.Load().Buildings() }
+
+// Stats gathers every group's per-building statistics, from its primary
+// or else a read member, sorted by building. A group that does not
+// answer is left out.
+func (rt *Router) Stats(ctx context.Context) []portfolio.BuildingStats {
+	var out []portfolio.BuildingStats
 	for gi := range rt.groups {
 		url, ok := rt.pickPrimary(gi)
 		if !ok {
-			if url, ok = rt.pickRead(gi); !ok {
+			if url, ok = rt.pickRead(gi, nil); !ok {
 				continue
 			}
 		}
-		rep, err := rt.forward(r.Context(), http.MethodGet, url, "/v2/stats", nil)
+		rep, err := rt.forward(ctx, http.MethodGet, url, "/v2/stats", nil)
 		if err != nil {
 			continue
 		}
@@ -1084,17 +994,25 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		if err := json.Unmarshal(rep.body, &st); err != nil {
 			continue
 		}
-		agg.Buildings += st.Buildings
-		agg.Records += st.Records
-		agg.MACs += st.MACs
-		agg.Edges += st.Edges
-		agg.SamplerRebuildFailures += st.SamplerRebuildFailures
-		agg.PerBuilding = append(agg.PerBuilding, st.PerBuilding...)
+		for _, b := range st.PerBuilding {
+			out = append(out, portfolio.BuildingStats{Building: b.Building, GraphStats: core.GraphStats{
+				Records: b.Records, MACs: b.MACs, Edges: b.Edges,
+				SamplerRebuildFailures: b.SamplerRebuildFailures, LastSamplerError: b.LastSamplerError,
+			}})
+		}
 	}
-	sort.Slice(agg.PerBuilding, func(i, j int) bool {
-		return agg.PerBuilding[i].Building < agg.PerBuilding[j].Building
-	})
-	writeJSON(w, http.StatusOK, agg)
+	sort.Slice(out, func(i, j int) bool { return out[i].Building < out[j].Building })
+	return out
+}
+
+// replInfo reports the router on /v2/healthz and /v2/stats: ready while
+// every group has a healthy primary.
+func (rt *Router) replInfo() server.ReplInfo {
+	ri := server.ReplInfo{Role: string(RoleRouter), Ready: rt.fleetStatus().Healthy}
+	if !ri.Ready {
+		ri.Error = "fleet: a group has no healthy primary; see /v2/admin/fleet"
+	}
+	return ri
 }
 
 // fleetStatus assembles the current topology view.
@@ -1114,17 +1032,6 @@ func (rt *Router) fleetStatus() FleetStatus {
 		fs.Groups = append(fs.Groups, gs)
 	}
 	return fs
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	fs := rt.fleetStatus()
-	status := http.StatusOK
-	state := "ok"
-	if !fs.Healthy {
-		status = http.StatusServiceUnavailable
-		state = "degraded"
-	}
-	writeJSON(w, status, map[string]any{"status": state, "role": string(RoleRouter), "fleet": fs})
 }
 
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
@@ -1210,16 +1117,6 @@ func (rt *Router) groupOf(member string) int {
 	return -1
 }
 
-// relay copies a node's raw response through.
-func relay(w http.ResponseWriter, rep reply) {
-	w.Header().Set("Content-Type", "application/json")
-	if rep.retryAfter != "" {
-		w.Header().Set("Retry-After", rep.retryAfter)
-	}
-	w.WriteHeader(rep.status)
-	w.Write(rep.body)
-}
-
 // errorMessage extracts a node's {"error": ...} body, falling back to
 // the status code.
 func errorMessage(body []byte, status int) string {
@@ -1233,6 +1130,5 @@ func errorMessage(body []byte, status int) string {
 }
 
 func writeJSONError(w http.ResponseWriter, status int, err error) {
-	data, _ := json.Marshal(map[string]string{"error": err.Error()})
-	relay(w, reply{status: status, body: data})
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -33,6 +37,22 @@ type shardFleet struct {
 	nodes  []*Node            // per group
 	urls   []string           // per group
 	hits   []*atomic.Int64    // per group: requests that reached the node outside /v2/repl/
+	last   []*nodeReply       // per group: the node's latest reply outside /v2/repl/
+}
+
+// nodeReply is a reply as the client sees it: status, Retry-After and
+// body bytes.
+type nodeReply struct {
+	mu         sync.Mutex
+	status     int
+	retryAfter string
+	body       []byte
+}
+
+func (r *nodeReply) get() (int, string, []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.status, r.retryAfter, r.body
 }
 
 // newShardFleet boots two shard groups of perGroup buildings each plus a
@@ -73,17 +93,27 @@ func newShardFleet(t *testing.T, ctx context.Context, perGroup int) *shardFleet 
 		if err != nil {
 			t.Fatalf("NewPrimaryNode: %v", err)
 		}
-		hits := new(atomic.Int64)
+		hits, last := new(atomic.Int64), new(nodeReply)
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !strings.HasPrefix(r.URL.Path, "/v2/repl/") {
-				hits.Add(1)
+			if strings.HasPrefix(r.URL.Path, "/v2/repl/") {
+				node.ServeHTTP(w, r)
+				return
 			}
-			node.ServeHTTP(w, r)
+			hits.Add(1)
+			rec := httptest.NewRecorder()
+			node.ServeHTTP(rec, r)
+			last.mu.Lock()
+			last.status, last.retryAfter, last.body = rec.Code, rec.Header().Get("Retry-After"), rec.Body.Bytes()
+			last.mu.Unlock()
+			maps.Copy(w.Header(), rec.Header())
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
 		}))
 		t.Cleanup(srv.Close)
 		f.nodes = append(f.nodes, node)
 		f.urls = append(f.urls, srv.URL)
 		f.hits = append(f.hits, hits)
+		f.last = append(f.last, last)
 		groups = append(groups, []string{srv.URL})
 	}
 	f.router, err = NewRouter(RouterOptions{
@@ -227,6 +257,60 @@ func TestRouterReadAndAbsorbTakeOneHop(t *testing.T) {
 	f.wantHops(t, "absorb", before, 1)
 }
 
+// TestRouterAnswersAsTheNode: the router decodes a node's answer and
+// encodes it again, so for reads, absorbs and refusals alike its status,
+// Retry-After and body bytes must be the owning node's own.
+func TestRouterAnswersAsTheNode(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 2) // buildings 0, 1 in group 0; 2, 3 in group 1
+	m := func(b, n int) []string { return f.macs(t, b, n) }
+	absorbed, _ := uniqueScan(f.pools[2][1], 21)
+	absorbedViaClassify, _ := uniqueScan(f.pools[0][1], 22)
+	weak := f.pools[0][2]
+	weak.Readings = slices.Clone(weak.Readings)
+	weak.Readings[0].RSS = -130
+	cases := []struct {
+		name, path string
+		body       map[string]any
+		group      int
+		want       int
+	}{
+		{"read", "/v2/classify", map[string]any{"id": "r", "readings": f.pools[0][0].Readings}, 0, http.StatusOK},
+		{"read with top_k 3", "/v2/classify", map[string]any{"id": "k", "readings": f.pools[3][0].Readings, "top_k": 3}, 1, http.StatusOK},
+		{"absorb", "/v2/absorb", map[string]any{"id": absorbed.ID, "readings": absorbed.Readings}, 1, http.StatusOK},
+		{"absorbing classify", "/v2/classify", map[string]any{"id": absorbedViaClassify.ID, "readings": absorbedViaClassify.Readings, "absorb": true}, 0, http.StatusOK},
+		{"tie within a group", "/v2/classify", map[string]any{"id": "t", "readings": scanOf("t", m(0, 2), m(1, 2)).Readings}, 0, http.StatusConflict},
+		{"known MAC at -130 dBm", "/v2/classify", map[string]any{"id": "w", "readings": weak.Readings}, 0, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := f.hitCounts()
+			resp, err := http.Post(f.srv.URL+tc.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s: %v", tc.path, err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.wantHops(t, tc.name, before, tc.group)
+			status, retryAfter, nodeBody := f.last[tc.group].get()
+			if resp.StatusCode != tc.want || status != tc.want {
+				t.Fatalf("router %d, node %d; want %d (router body %s)", resp.StatusCode, status, tc.want, got)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != retryAfter || !bytes.Equal(got, nodeBody) {
+				t.Errorf("router answered Retry-After %q body %s; the node %q %s", ra, got, retryAfter, nodeBody)
+			}
+		})
+	}
+}
+
 // TestRouterIndexMatchesScatter is the routing differential: for every
 // kind of scan the index must pick the status and building that asking
 // every group and keeping the best answer picks.
@@ -260,16 +344,14 @@ func TestRouterIndexMatchesScatter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scattered := httptest.NewRecorder()
-			writeOutcome(scattered, bestOutcome(f.router.scatterClassify(ctx, body)))
-			var viaScatter map[string]any
-			_ = json.Unmarshal(scattered.Body.Bytes(), &viaScatter)
+			viaScatter, err := bestOutcome(f.router.scatterClassify(ctx, body)).result()
+			scatterCode := statusOf(t, err)
 
 			status, viaIndex := postClassify(t, f.srv.URL, "/v2/classify", &tc.scan, false)
-			if status != scattered.Code || viaIndex["building"] != viaScatter["building"] {
-				t.Fatalf("index: %d %v; scatter: %d %v", status, viaIndex["building"], scattered.Code, viaScatter["building"])
-			}
 			got, _ := viaIndex["building"].(string)
+			if status != scatterCode || got != viaScatter.Building {
+				t.Fatalf("index: %d %q; scatter: %d %q", status, got, scatterCode, viaScatter.Building)
+			}
 			if status != tc.wantStatus || got != tc.want {
 				t.Fatalf("status %d building %q, want %d %q (body %v)", status, got, tc.wantStatus, tc.want, viaIndex)
 			}
@@ -287,6 +369,20 @@ func TestRouterIndexMatchesScatter(t *testing.T) {
 	if status, body := postClassify(t, f.srv.URL, "/v2/classify", &scan, false); status != http.StatusBadGateway {
 		t.Fatalf("owning group drained: status %d body %v, want 502", status, body)
 	}
+}
+
+// statusOf is the status the HTTP surface answers a ClassifyRouted
+// error with, 200 for none: every error the router returns carries it.
+func statusOf(t *testing.T, err error) int {
+	t.Helper()
+	if err == nil {
+		return http.StatusOK
+	}
+	var se *server.StatusError
+	if !errors.As(err, &se) {
+		t.Fatalf("router error %v carries no status", err)
+	}
+	return se.Status
 }
 
 // TestRouterIndexesGroupWithoutPrimary boots a router while one group's
@@ -490,6 +586,55 @@ func TestRouterRemoveMACEscapesPath(t *testing.T) {
 	}
 }
 
+// TestRouterReportsPartialMACRetirement: a retirement one group applied
+// and another failed is a 502 with the failing group's message,
+// whichever group answers first, since the MAC may still be live on the
+// failing one.
+func TestRouterReportsPartialMACRetirement(t *testing.T) {
+	stub := func(status int, body string) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v2/repl/status" {
+				json.NewEncoder(w).Encode(ReplStatus{ReplInfo: server.ReplInfo{Role: string(RolePrimary), Ready: true}})
+				return
+			}
+			w.WriteHeader(status)
+			w.Write([]byte(body))
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	retired := stub(http.StatusOK, `{"buildings":1}`)
+	failing := stub(http.StatusServiceUnavailable, `{"error":"journal degraded"}`)
+	for _, groups := range [][][]string{{{retired.URL}, {failing.URL}}, {{failing.URL}, {retired.URL}}} {
+		rt, err := NewRouter(RouterOptions{Groups: groups})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		rt.Start(ctx)
+		srv := httptest.NewServer(rt)
+		req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v2/macs/aa:bb", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE: %v", err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		srv.Close()
+		rt.Stop()
+		cancel()
+		if resp.StatusCode != http.StatusBadGateway || !strings.Contains(body.Error, "journal degraded") {
+			t.Errorf("groups %v: status %d error %q, want 502 naming the failing group's error", groups, resp.StatusCode, body.Error)
+		}
+	}
+}
+
 func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -573,8 +718,8 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 
 // TestRouterAdminQueries: drain's ?undo= parses like every boolean query
 // (undo=1 restores rotation, a malformed value is a 400 that changes
-// nothing), and promoting a member in no group is a 404, as draining one
-// is.
+// nothing), promoting a member in no group is a 404, as draining one
+// is, and a GET on promote is a 405, not the node surface's 404.
 func TestRouterAdminQueries(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(ReplStatus{ReplInfo: server.ReplInfo{Role: string(RolePrimary), Ready: true}})
@@ -612,6 +757,9 @@ func TestRouterAdminQueries(t *testing.T) {
 	}
 	if got := post("/v2/admin/fleet/promote?member=http://127.0.0.1:1"); got != http.StatusNotFound {
 		t.Errorf("promote unknown member: status %d, want 404", got)
+	}
+	if got := httpStatus(t, srv.URL+"/v2/admin/fleet/promote"); got != http.StatusMethodNotAllowed {
+		t.Errorf("GET promote: status %d, want 405", got)
 	}
 }
 

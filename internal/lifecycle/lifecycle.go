@@ -400,7 +400,7 @@ func WALDir(stateDir string) string { return walPath(stateDir) }
 // again after a re-absorb), which is already the desired end state.
 func ApplyRecord(ctx context.Context, p *portfolio.Portfolio, r wal.Record) error {
 	if r.RetireMAC != "" {
-		if _, err := p.RemoveMAC(r.RetireMAC); err != nil && !errors.Is(err, portfolio.ErrUnknownMAC) {
+		if _, err := p.RemoveMAC(ctx, r.RetireMAC); err != nil && !errors.Is(err, portfolio.ErrUnknownMAC) {
 			return err
 		}
 		return nil
@@ -515,38 +515,17 @@ func (m *Manager) ClassifyRoutedBatch(ctx context.Context, records []dataset.Rec
 	return routed, errs
 }
 
-// AbsorbBuilding absorbs a scan into a named building (no attribution),
-// journaled like any other absorb.
-func (m *Manager) AbsorbBuilding(ctx context.Context, building string, rec *dataset.Record, opts ...core.Option) (core.Result, error) {
-	if err := m.admitAbsorb(); err != nil {
-		return core.Result{}, err
-	}
-	res, err := func() (core.Result, error) {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		res, err := m.p.AbsorbBuilding(ctx, building, rec, opts...)
-		if err == nil {
-			err = m.journal(wal.Record{Building: building, Scan: *rec})
-		}
-		return res, err
-	}()
-	if err == nil {
-		m.maybeRefit(building)
-	}
-	return res, err
-}
-
 // RemoveMAC retires an access point fleet-wide, journaled so the
 // retirement survives a crash exactly like an absorb does (snapshot
 // restores and refits re-apply it from the per-building retirement sets;
 // the WAL covers the window since the last snapshot).
-func (m *Manager) RemoveMAC(mac string) (int, error) {
+func (m *Manager) RemoveMAC(ctx context.Context, mac string) (int, error) {
 	if err := m.admitAbsorb(); err != nil {
 		return 0, err
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n, err := m.p.RemoveMAC(mac)
+	n, err := m.p.RemoveMAC(ctx, mac)
 	if err == nil {
 		err = m.journal(wal.Record{RetireMAC: mac})
 	}

@@ -475,7 +475,7 @@ func TestRetirementSurvivesCrashAndRefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := train[0].Readings[0].MAC
-	if _, err := m.RemoveMAC(victim); err != nil {
+	if _, err := m.RemoveMAC(context.Background(), victim); err != nil {
 		t.Fatalf("RemoveMAC: %v", err)
 	}
 	// SIGKILL: abandon without snapshot; the retirement lives only in the

@@ -98,6 +98,13 @@ func (x *MACIndex) Remove(mac string) []string {
 	return holders
 }
 
+// Buildings returns the registered buildings' names, sorted.
+func (x *MACIndex) Buildings() []string {
+	out := slices.Clone(x.names)
+	sort.Strings(out)
+	return out
+}
+
 // Sets returns every building's MAC set, each sorted.
 func (x *MACIndex) Sets() map[string][]string {
 	out := make(map[string][]string, len(x.names))

@@ -293,11 +293,11 @@ func TestMACVersionMovesOnlyOnChange(t *testing.T) {
 		}
 	})
 	step("retiring a MAC", true, func() {
-		if _, err := p.RemoveMAC("new-ap"); err != nil {
+		if _, err := p.RemoveMAC(ctx, "new-ap"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	step("retiring an unknown MAC", false, func() { _, _ = p.RemoveMAC("never-seen") })
+	step("retiring an unknown MAC", false, func() { _, _ = p.RemoveMAC(ctx, "never-seen") })
 	step("swapping in a model with other MACs", true, func() {
 		if err := p.ReplaceSystem(name, other); err != nil {
 			t.Fatal(err)

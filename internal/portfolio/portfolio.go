@@ -415,8 +415,9 @@ func (p *Portfolio) ClassifyRoutedBatch(ctx context.Context, records []dataset.R
 // RemoveMAC retires an access point fleet-wide (AP churn): every building
 // whose MAC set knows the address drops it from both its graph and the
 // attribution index. It returns how many buildings were affected;
-// ErrUnknownMAC means none were.
-func (p *Portfolio) RemoveMAC(mac string) (int, error) {
+// ErrUnknownMAC means none were. The retirement is in memory and does not
+// wait, so it takes no heed of the context.
+func (p *Portfolio) RemoveMAC(_ context.Context, mac string) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	affected := 0
@@ -441,7 +442,8 @@ type BuildingStats struct {
 }
 
 // Stats returns per-building graph statistics, sorted by building name.
-func (p *Portfolio) Stats() []BuildingStats {
+// It reads memory only, so it takes no heed of the context.
+func (p *Portfolio) Stats(context.Context) []BuildingStats {
 	p.mu.RLock()
 	names := make([]string, 0, len(p.systems))
 	systems := make([]*core.System, 0, len(p.systems))

@@ -383,24 +383,24 @@ func TestRemoveMACFleetWide(t *testing.T) {
 	}
 	// BSSIDs are globally unique in the simulation, so exactly one
 	// building knows this MAC.
-	n, err := p.RemoveMAC(mac)
+	n, err := p.RemoveMAC(context.Background(), mac)
 	if err != nil {
 		t.Fatalf("RemoveMAC: %v", err)
 	}
 	if n != 1 {
 		t.Errorf("affected %d buildings, want 1", n)
 	}
-	if _, err := p.RemoveMAC(mac); !errors.Is(err, ErrUnknownMAC) {
+	if _, err := p.RemoveMAC(context.Background(), mac); !errors.Is(err, ErrUnknownMAC) {
 		t.Errorf("second RemoveMAC = %v, want ErrUnknownMAC", err)
 	}
-	if _, err := p.RemoveMAC("never-seen"); !errors.Is(err, ErrUnknownMAC) {
+	if _, err := p.RemoveMAC(context.Background(), "never-seen"); !errors.Is(err, ErrUnknownMAC) {
 		t.Errorf("RemoveMAC(unknown) = %v, want ErrUnknownMAC", err)
 	}
 }
 
 func TestPortfolioStats(t *testing.T) {
 	p, _ := fleet(t, 3, 12)
-	stats := p.Stats()
+	stats := p.Stats(context.Background())
 	if len(stats) != 3 {
 		t.Fatalf("stats for %d buildings, want 3", len(stats))
 	}

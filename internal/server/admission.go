@@ -40,20 +40,16 @@ var (
 // everything (admission control disabled).
 type absorbGate struct {
 	slots chan struct{}
-	wait  time.Duration
 }
 
 // newAbsorbGate builds a gate admitting at most maxInflight concurrent
-// absorbs, each waiting up to queueWait for a slot. maxInflight <= 0
-// disables admission control (returns nil).
-func newAbsorbGate(maxInflight int, queueWait time.Duration) *absorbGate {
+// absorbs, each waiting up to defaultAbsorbQueueWait for a slot.
+// maxInflight <= 0 disables admission control (returns nil).
+func newAbsorbGate(maxInflight int) *absorbGate {
 	if maxInflight <= 0 {
 		return nil
 	}
-	if queueWait <= 0 {
-		queueWait = defaultAbsorbQueueWait
-	}
-	return &absorbGate{slots: make(chan struct{}, maxInflight), wait: queueWait}
+	return &absorbGate{slots: make(chan struct{}, maxInflight)}
 }
 
 // acquire claims an admission slot, waiting up to the queue deadline.
@@ -70,7 +66,7 @@ func (g *absorbGate) acquire(ctx context.Context) (release func(), err error) {
 		// Full: wait for a slot, but only up to the queue deadline — an
 		// absorb queued longer than that is shed so the client can back
 		// off or the fleet router can retry elsewhere.
-		t := time.NewTimer(g.wait)
+		t := time.NewTimer(defaultAbsorbQueueWait)
 		defer t.Stop()
 		select {
 		case g.slots <- struct{}{}:

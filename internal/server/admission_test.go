@@ -15,7 +15,7 @@ import (
 )
 
 func TestAbsorbGateAdmitsAndReleases(t *testing.T) {
-	g := newAbsorbGate(2, 50*time.Millisecond)
+	g := newAbsorbGate(2)
 	ctx := context.Background()
 	r1, err := g.acquire(ctx)
 	if err != nil {
@@ -49,7 +49,7 @@ func TestAbsorbGateNilAdmitsEverything(t *testing.T) {
 }
 
 func TestAbsorbGateHonorsContext(t *testing.T) {
-	g := newAbsorbGate(1, time.Minute)
+	g := newAbsorbGate(1)
 	release, err := g.acquire(context.Background())
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
@@ -89,17 +89,14 @@ func (b *blockingRouter) ClassifyRoutedBatch(ctx context.Context, records []data
 	return routed, errs
 }
 
-func (b *blockingRouter) RemoveMAC(mac string) (int, error) { return 0, nil }
+func (b *blockingRouter) RemoveMAC(context.Context, string) (int, error) { return 0, nil }
 
 // TestAdmissionControlShedsBurst fills the gate with blocked absorbs
 // and asserts the next absorb is shed with 429 + Retry-After while a
 // read-only classify on the same server still answers.
 func TestAdmissionControlShedsBurst(t *testing.T) {
 	rt := &blockingRouter{gate: make(chan struct{})}
-	h := NewHandler(portfolio.New(core.Config{}), rt, Options{
-		MaxInflightAbsorbs: 2,
-		AbsorbQueueWait:    50 * time.Millisecond,
-	})
+	h := NewHandler(portfolio.New(core.Config{}), rt, Options{MaxInflightAbsorbs: 2})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -46,12 +46,11 @@ func ParseScan(body []byte) (ClassifyRequest, error) {
 	return req, nil
 }
 
-// DecodeScan reads a single-scan request body of at most maxBodyBytes
+// decodeScan reads a single-scan request body of at most maxBodyBytes
 // into buf and parses it with ParseScan; a scan without readings is
 // refused. On failure it returns the status to answer with: 413 past
-// the limit, 400 otherwise. The fleet router decodes with it too, so a
-// node and a router refuse the same scans.
-func DecodeScan(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (ClassifyRequest, int, error) {
+// the limit, 400 otherwise.
+func decodeScan(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (ClassifyRequest, int, error) {
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return ClassifyRequest{}, decodeStatus(err), fmt.Errorf("decode scan: %w", err)
 	}

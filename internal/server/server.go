@@ -2,6 +2,13 @@
 // deployment behind the smart-city applications the paper motivates
 // (navigation, geofencing, robot rescue).
 //
+// It is the one HTTP surface of every serving role: NewHandler serves
+// a Catalog (the buildings and their statistics) and a Router (the
+// classifications and writes). A single node passes its portfolio or
+// lifecycle manager, a fleet primary or follower its role's Router, and
+// the fleet router itself, which forwards each call to the shard group
+// that owns the scan.
+//
 // The surface is built on the context-first Classify API and reports
 // confidence and top-K candidate floors, takes writes, and streams
 // batches (see v2.go):
@@ -71,12 +78,22 @@ import (
 type Router interface {
 	ClassifyRouted(ctx context.Context, rec *dataset.Record, opts ...core.Option) (portfolio.Routed, error)
 	ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error)
-	RemoveMAC(mac string) (int, error)
+	RemoveMAC(ctx context.Context, mac string) (int, error)
+}
+
+// Catalog is what the surface reports about the buildings it serves:
+// their names gate /v2/healthz and their graph statistics answer
+// /v2/stats. portfolio.Portfolio reads its own; the fleet router asks
+// its shard groups.
+type Catalog interface {
+	Buildings() []string
+	Stats(ctx context.Context) []portfolio.BuildingStats
 }
 
 var (
-	_ Router = (*portfolio.Portfolio)(nil)
-	_ Router = (*lifecycle.Manager)(nil)
+	_ Router  = (*portfolio.Portfolio)(nil)
+	_ Router  = (*lifecycle.Manager)(nil)
+	_ Catalog = (*portfolio.Portfolio)(nil)
 )
 
 // errorResponse is the JSON error shape.
@@ -89,6 +106,17 @@ type errorResponse struct {
 // The HTTP surface maps it to 421 Misdirected Request — the client (or
 // the fleet routing tier) should resend the write to the primary.
 var ErrReadOnly = errors.New("server: read-only replica, writes go to the primary")
+
+// StatusError is an error that carries its own HTTP answer. A Router
+// that forwards over the network returns a peer's non-200 reply as one,
+// so the client gets the peer's status, Retry-After and message.
+type StatusError struct {
+	Status     int
+	RetryAfter string // the Retry-After header to send, "" for none
+	Msg        string
+}
+
+func (e *StatusError) Error() string { return e.Msg }
 
 // maxBodyBytes bounds single-scan request bodies; a WiFi scan is a few KB
 // at most.
@@ -159,25 +187,21 @@ type Options struct {
 	Repl func() ReplInfo
 	// MaxInflightAbsorbs bounds concurrently admitted absorbing requests
 	// (absorb, absorbing classify/batch, MAC retirement). Excess writes
-	// wait up to AbsorbQueueWait for a slot and are then shed with 429
-	// and a Retry-After. 0 disables admission control.
+	// wait up to a second for a slot and are then shed with 429 and a
+	// Retry-After. 0 disables admission control.
 	MaxInflightAbsorbs int
-	// AbsorbQueueWait is how long a write waits for an admission slot
-	// before being shed. 0 means one second. Ignored unless
-	// MaxInflightAbsorbs is set.
-	AbsorbQueueWait time.Duration
 }
 
-// NewHandler builds the HTTP handler: p serves the registration-level
+// NewHandler builds the HTTP handler: c serves the registration-level
 // reads, rt the classifications (absorbs included), and opts attaches the
 // lifecycle admin surface, replication reporting and write admission. An
-// in-memory deployment passes its portfolio as both p and rt; a durable
+// in-memory deployment passes its portfolio as both c and rt; a durable
 // one passes its lifecycle manager as rt and as Options.Lifecycle, so
-// every absorb is journaled; the fleet node roles interpose their own
-// Router.
-func NewHandler(p *portfolio.Portfolio, rt Router, opts Options) http.Handler {
+// every absorb is journaled; the fleet roles interpose their own Router,
+// and the fleet router is both c and rt.
+func NewHandler(c Catalog, rt Router, opts Options) http.Handler {
 	mux := http.NewServeMux()
-	registerV2(mux, p, rt, opts)
+	registerV2(mux, c, rt, opts)
 	registerObs(mux)
 	if opts.Lifecycle != nil {
 		registerAdmin(mux, opts.Lifecycle)
@@ -191,9 +215,9 @@ func NewHandler(p *portfolio.Portfolio, rt Router, opts Options) http.Handler {
 // follower answers 503 until it has bootstrapped and caught up within
 // its configured lag bound — a stale follower serving reads would answer
 // with classifications the fleet has already outgrown.
-func healthz(p *portfolio.Portfolio, repl func() ReplInfo) http.HandlerFunc {
+func healthz(c Catalog, repl func() ReplInfo) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		n := len(p.Buildings())
+		n := len(c.Buildings())
 		status, state := http.StatusOK, "ok"
 		if n == 0 {
 			status, state = http.StatusServiceUnavailable, "empty"
@@ -224,7 +248,12 @@ const statusClientClosedRequest = 499
 
 // predictStatus maps domain errors to HTTP status codes.
 func predictStatus(err error) int {
+	var se *StatusError
 	switch {
+	case errors.As(err, &se):
+		return se.Status
+	case errors.Is(err, portfolio.ErrUnknownMAC):
+		return http.StatusNotFound
 	case errors.Is(err, portfolio.ErrUnattributable),
 		errors.Is(err, core.ErrOutOfBuilding):
 		return http.StatusUnprocessableEntity
@@ -261,11 +290,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	// A degraded-journal rejection tells the client exactly when the next
 	// recovery probe runs; well-behaved writers back off instead of
-	// hammering a node that cannot journal.
-	var deg *lifecycle.DegradedError
-	if errors.As(err, &deg) {
+	// hammering a node that cannot journal. A peer's answer passes its
+	// own Retry-After on.
+	var (
+		deg *lifecycle.DegradedError
+		se  *StatusError
+	)
+	switch {
+	case errors.As(err, &deg):
 		secs := int((deg.RetryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	case errors.As(err, &se) && se.RetryAfter != "":
+		w.Header().Set("Retry-After", se.RetryAfter)
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }

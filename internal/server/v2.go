@@ -106,15 +106,15 @@ type BuildingStatsItem struct {
 // noticed quickly.
 const ndjsonChunkSize = 64
 
-// registerV2 mounts the v2 routes on mux. Classification goes through rt
-// so an attached lifecycle manager sees (and journals) every absorb;
-// fleet-level reads and MAC retirement address the portfolio directly.
+// registerV2 mounts the v2 routes on mux. Classification and MAC
+// retirement go through rt so an attached lifecycle manager sees (and
+// journals) every write; health and statistics read the catalog c.
 // Every write route shares one admission gate (see admission.go), so a
 // burst of absorbs is bounded no matter which route it arrives on.
-func registerV2(mux *http.ServeMux, p *portfolio.Portfolio, rt Router, opts Options) {
+func registerV2(mux *http.ServeMux, c Catalog, rt Router, opts Options) {
 	repl := opts.Repl
-	gate := newAbsorbGate(opts.MaxInflightAbsorbs, opts.AbsorbQueueWait)
-	handle(mux, "GET /v2/healthz", healthz(p, repl))
+	gate := newAbsorbGate(opts.MaxInflightAbsorbs)
+	handle(mux, "GET /v2/healthz", healthz(c, repl))
 	handle(mux, "POST /v2/classify", classifyV2(rt, gate, false))
 	handle(mux, "POST /v2/absorb", classifyV2(rt, gate, true))
 	handle(mux, "POST /v2/classify/batch", classifyBatchV2(rt, gate))
@@ -126,19 +126,15 @@ func registerV2(mux *http.ServeMux, p *portfolio.Portfolio, rt Router, opts Opti
 			return
 		}
 		defer release()
-		n, err := rt.RemoveMAC(mac)
+		n, err := rt.RemoveMAC(r.Context(), mac)
 		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, portfolio.ErrUnknownMAC) {
-				status = http.StatusNotFound
-			}
-			writeError(w, status, err)
+			writeError(w, predictStatus(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"mac": mac, "buildings": n})
 	})
 	handle(mux, "GET /v2/stats", func(w http.ResponseWriter, r *http.Request) {
-		per := p.Stats()
+		per := c.Stats(r.Context())
 		resp := StatsResponse{Buildings: len(per), PerBuilding: make([]BuildingStatsItem, len(per))}
 		for i, b := range per {
 			resp.PerBuilding[i] = BuildingStatsItem{
@@ -198,6 +194,27 @@ func toClassifyResponse(id string, routed *portfolio.Routed, absorbed bool) Clas
 	return resp
 }
 
+// Routed maps a classify reply back onto the routed classification it
+// reports, the inverse of toClassifyResponse on every field the reply
+// carries: a Router that forwards a scan to another node re-encodes the
+// node's answer byte for byte.
+func (r *ClassifyResponse) Routed() portfolio.Routed {
+	res := core.Result{
+		Floor:      r.Floor,
+		Confidence: r.Confidence,
+		Candidates: make([]core.Candidate, len(r.Candidates)),
+		Distance:   r.Distance,
+	}
+	for i, c := range r.Candidates {
+		res.Candidates[i] = core.Candidate{Floor: c.Floor, Confidence: c.Confidence, Distance: c.Distance}
+	}
+	return portfolio.Routed{
+		Building: r.Building,
+		Match:    portfolio.Match{Building: r.Building, Overlap: r.Overlap},
+		Result:   res,
+	}
+}
+
 // classifyV2 serves POST /v2/classify and POST /v2/absorb (the latter
 // forces the absorb option, making the write intent explicit in the
 // route). The body is read into a pooled buffer; the request keeps
@@ -211,7 +228,7 @@ func classifyV2(rt Router, gate *absorbGate, forceAbsorb bool) http.HandlerFunc 
 				bodyPool.Put(buf)
 			}
 		}()
-		req, status, err := DecodeScan(w, r, buf)
+		req, status, err := decodeScan(w, r, buf)
 		if err != nil {
 			writeError(w, status, err)
 			return
@@ -271,7 +288,7 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 		}
 		opts := optionsOf(topK, absorb)
 
-		recs, status, err := DecodeBatch(w, r)
+		recs, status, err := decodeBatch(w, r)
 		if err != nil {
 			writeError(w, status, err)
 			return
@@ -322,7 +339,7 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 	}
 }
 
-// DecodeBatch reads and validates a whole batch body, so a batch that
+// decodeBatch reads and validates a whole batch body, so a batch that
 // will be rejected is refused before any scan is classified or absorbed.
 // The body is a JSON array or an NDJSON stream of scans (told apart by
 // its first non-space byte), at most maxBatchScans scans in
@@ -331,9 +348,8 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 // Options are batch-wide (query string): a scan carrying its own
 // top_k/absorb is rejected rather than silently stripped, so explicit
 // write intent is never dropped. On failure it returns the status to
-// answer with: 413 past a limit, 400 otherwise. The fleet router decodes
-// with it too, so a node and a router refuse the same batches.
-func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]dataset.Record, int, error) {
+// answer with: 413 past a limit, 400 otherwise.
+func decodeBatch(w http.ResponseWriter, r *http.Request) ([]dataset.Record, int, error) {
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	first, err := peekNonSpace(br)
 	if errors.Is(err, io.EOF) {

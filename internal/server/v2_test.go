@@ -11,8 +11,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/lifecycle"
+	"repro/internal/portfolio"
 )
 
 func decodeClassify(t *testing.T, resp *http.Response) ClassifyResponse {
@@ -149,6 +153,52 @@ func TestV2DeleteUnknownMAC(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// retireErrRouter refuses every MAC retirement with err.
+type retireErrRouter struct {
+	blockingRouter
+	err error
+}
+
+func (r *retireErrRouter) RemoveMAC(context.Context, string) (int, error) { return 0, r.err }
+
+// TestV2DeleteMACMapsErrors: DELETE /v2/macs/{mac} answers a Router's
+// error as every write route does, not with a bare 500: a follower's
+// ErrReadOnly is 421, a degraded journal is 503 with its Retry-After, a
+// peer's answer keeps its own status and Retry-After, and an unknown MAC
+// stays 404.
+func TestV2DeleteMACMapsErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		err        error
+		want       int
+		retryAfter string
+	}{
+		{"read-only", fmt.Errorf("%w (primary: http://p)", ErrReadOnly), http.StatusMisdirectedRequest, ""},
+		{"degraded", &lifecycle.DegradedError{RetryAfter: 5 * time.Second}, http.StatusServiceUnavailable, "5"},
+		{"peer answer", &StatusError{Status: http.StatusTooManyRequests, RetryAfter: "7", Msg: "shed"}, http.StatusTooManyRequests, "7"},
+		{"unknown MAC", fmt.Errorf("%w: %q", portfolio.ErrUnknownMAC, "m"), http.StatusNotFound, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(NewHandler(portfolio.New(core.Config{}), &retireErrRouter{err: tc.err}, Options{}))
+			defer srv.Close()
+			req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/macs/m", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("DELETE: %v", err)
+			}
+			defer resp.Body.Close()
+			var body errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if resp.StatusCode != tc.want || resp.Header.Get("Retry-After") != tc.retryAfter || body.Error != tc.err.Error() {
+				t.Errorf("status %d, Retry-After %q, error %q; want %d, %q, %q",
+					resp.StatusCode, resp.Header.Get("Retry-After"), body.Error, tc.want, tc.retryAfter, tc.err.Error())
+			}
+		})
 	}
 }
 
@@ -450,7 +500,7 @@ func TestV2StatsSamplerFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mac := range sys.MACs() {
-		if _, err := p.RemoveMAC(mac); err != nil {
+		if _, err := p.RemoveMAC(context.Background(), mac); err != nil {
 			t.Fatalf("RemoveMAC(%s): %v", mac, err)
 		}
 	}
