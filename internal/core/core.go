@@ -35,12 +35,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/embed"
-	"repro/internal/obs"
 	"repro/internal/rfgraph"
 )
 
@@ -190,13 +188,6 @@ type System struct {
 	//
 	// grafics:guardedby mu
 	absorbSeq int64
-
-	// samplerFailures counts negative-sampler rebuilds that failed and
-	// were absorbed (the stale sampler kept serving); lastSamplerErr holds
-	// the most recent failure message. Atomics so the read-locked stats
-	// path can report them without taking the write lock.
-	samplerFailures obs.Counter
-	lastSamplerErr  atomic.Value // string
 }
 
 // New returns an untrained System.
@@ -275,53 +266,25 @@ func (s *System) FitCtx(ctx context.Context) error {
 		}
 		return fmt.Errorf("core: clustering: %w", err)
 	}
-	neg, err := embed.NewNegativeSampler(s.graph, emb)
-	if err != nil {
-		return fmt.Errorf("core: negative sampler: %w", err)
-	}
 	s.emb = emb
 	s.model = model
 	s.fidx = newFloorIndex(model)
-	s.neg = neg
+	s.neg = embed.NewNegativeSampler(s.graph, emb)
 	s.trained = true
 	return nil
 }
 
 // refreshSampler rebuilds the shared negative-sampling distribution and
 // warm-start table after a graph mutation. The caller holds the write
-// lock. A rebuild failure leaves the previous sampler in place:
-// predictions stay consistent with the pre-mutation snapshot rather than
-// failing outright (MACs newer than its table start at random) — but the
-// failure is counted and kept (see Stats), because a sampler that can
-// never rebuild drifts ever further from the live graph and an operator
-// can only notice through the stats surface.
+// lock. A graph whose every MAC is retired gets an empty sampler; no
+// scan reaches it, since a scan with an edge into the graph makes the
+// sampler non-empty.
 //
 //grafics:locked mu
 func (s *System) refreshSampler() {
-	if !s.trained {
-		return
+	if s.trained {
+		s.neg = embed.NewNegativeSampler(s.graph, s.emb)
 	}
-	neg, err := embed.NewNegativeSampler(s.graph, s.emb)
-	if err != nil {
-		s.samplerFailures.Inc()
-		samplerRebuildFailuresTotal.Inc()
-		s.lastSamplerErr.Store(err.Error())
-		return
-	}
-	// A successful rebuild clears the last error (the count stays), so
-	// the stats surface distinguishes a healed sampler from a stuck one.
-	s.lastSamplerErr.Store("")
-	s.neg = neg
-}
-
-// SamplerRebuildFailures returns how many negative-sampler rebuilds have
-// failed (and been absorbed) over this system's lifetime — i.e. since
-// its fit; a refit hot-swap starts over with a fresh sampler — plus the
-// most recent failure message ("" when none or since healed).
-func (s *System) SamplerRebuildFailures() (int64, string) {
-	n := s.samplerFailures.Load()
-	msg, _ := s.lastSamplerErr.Load().(string)
-	return n, msg
 }
 
 // Trained reports whether FitCtx has completed.
@@ -478,32 +441,20 @@ func (s *System) ClusterModel() (*cluster.Model, error) {
 	return s.model, nil
 }
 
-// GraphStats summarizes the bipartite graph and the system's absorbed
-// operational failures.
+// GraphStats summarizes the bipartite graph.
 type GraphStats struct {
 	Records int
 	MACs    int
 	Edges   int
-	// SamplerRebuildFailures counts negative-sampler rebuilds that failed
-	// since this model was fitted (a lifecycle hot-swap starts a fresh
-	// count along with a fresh sampler); the system kept serving the
-	// stale sampler, so a climbing count means predictions are drifting
-	// from the live graph. LastSamplerError is the most recent failure,
-	// cleared by the next successful rebuild.
-	SamplerRebuildFailures int64
-	LastSamplerError       string
 }
 
 // Stats returns current graph statistics.
 func (s *System) Stats() GraphStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	failures, lastErr := s.SamplerRebuildFailures()
 	return GraphStats{
-		Records:                s.graph.NumRecords(),
-		MACs:                   s.graph.NumMACs(),
-		Edges:                  s.graph.NumEdges(),
-		SamplerRebuildFailures: failures,
-		LastSamplerError:       lastErr,
+		Records: s.graph.NumRecords(),
+		MACs:    s.graph.NumMACs(),
+		Edges:   s.graph.NumEdges(),
 	}
 }

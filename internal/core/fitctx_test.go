@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -32,30 +32,31 @@ func TestFitCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestSamplerRebuildFailureSurfaced: retiring every MAC leaves a graph the
-// negative sampler cannot be rebuilt from; the failure must be counted
-// and visible in Stats instead of silently swallowed, while the system
-// keeps serving off the stale sampler.
-func TestSamplerRebuildFailureSurfaced(t *testing.T) {
-	s, _ := trainedSystem(t)
-	if n, msg := s.SamplerRebuildFailures(); n != 0 || msg != "" {
-		t.Fatalf("fresh system reports %d sampler failures (%q)", n, msg)
-	}
+// TestRetireEveryMACSaveLoad: retiring every MAC leaves a graph with no
+// live trained edge, whose negative sampler is empty. That state must
+// save and load like any other, and the loaded system must answer the
+// building's own scans as out of building, as the live one does.
+func TestRetireEveryMACSaveLoad(t *testing.T) {
+	s, test := trainedSystem(t)
 	for _, mac := range s.MACs() {
 		if err := s.RemoveMAC(mac); err != nil {
 			t.Fatalf("RemoveMAC(%s): %v", mac, err)
 		}
 	}
-	n, msg := s.SamplerRebuildFailures()
-	if n == 0 {
-		t.Fatal("sampler rebuild failures not counted after retiring every MAC")
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	if msg == "" || !strings.Contains(msg, "alias") {
-		t.Errorf("last sampler error %q, want the alias-table failure", msg)
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load after every MAC was retired: %v", err)
 	}
-	st := s.Stats()
-	if st.SamplerRebuildFailures != n || st.LastSamplerError != msg {
-		t.Errorf("Stats() = (%d, %q), want (%d, %q)",
-			st.SamplerRebuildFailures, st.LastSamplerError, n, msg)
+	if st := loaded.Stats(); st.MACs != 0 || st.Edges != 0 {
+		t.Errorf("loaded stats %+v, want no MACs and no edges", st)
+	}
+	for _, sys := range []*System{s, loaded} {
+		if _, err := sys.Classify(context.Background(), &test[0]); !errors.Is(err, ErrOutOfBuilding) {
+			t.Errorf("classify after every MAC was retired: %v, want ErrOutOfBuilding", err)
+		}
 	}
 }

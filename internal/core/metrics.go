@@ -30,10 +30,4 @@ var (
 	stageOverlayHist = classifyStageSeconds.With("overlay")
 	stageEmbedHist   = classifyStageSeconds.With("embed")
 	stageReduceHist  = classifyStageSeconds.With("reduce")
-
-	// samplerRebuildFailuresTotal aggregates rebuild failures across every
-	// System this process served (per-model counts reset on hot swap and
-	// stay visible in /v2/stats; this one is scrape-friendly monotone).
-	samplerRebuildFailuresTotal = obs.Default().Counter("grafics_core_sampler_rebuild_failures_total",
-		"Negative-sampler rebuild failures absorbed across all models since process start.")
 )

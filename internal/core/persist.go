@@ -117,11 +117,7 @@ func Load(r io.Reader) (*System, error) {
 		return nil, fmt.Errorf("core: snapshot has %d embeddings for %d nodes", len(snap.Ego), s.graph.NumNodes())
 	}
 	s.emb = &embed.Embedding{Dim: snap.Dim, Ego: snap.Ego, Ctx: snap.Ctx}
-	neg, err := embed.NewNegativeSampler(s.graph, s.emb)
-	if err != nil {
-		return nil, fmt.Errorf("core: negative sampler: %w", err)
-	}
-	s.neg = neg
+	s.neg = embed.NewNegativeSampler(s.graph, s.emb)
 	model := snap.Model
 	s.model = &model
 	s.fidx = newFloorIndex(s.model)

@@ -283,10 +283,7 @@ func TestEmbedNewNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	// A new record sensing floor-0 MACs should land near floor-0 records.
 	rec := dataset.Record{ID: "new", Readings: []dataset.Reading{
 		{MAC: "a0", RSS: -55}, {MAC: "a3", RSS: -60}, {MAC: "a5", RSS: -70},
@@ -316,10 +313,7 @@ func TestEmbedNewNodeWithNewMAC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	// Record with one known and one never-seen MAC still embeds.
 	rec := dataset.Record{ID: "new", Readings: []dataset.Reading{
 		{MAC: "a0", RSS: -55}, {MAC: "brand-new-mac", RSS: -60},
@@ -346,10 +340,7 @@ func TestEmbedDetachedOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	rows := len(emb.Ego)
 	snapshot := append([]float64(nil), emb.Ego[0]...)
 	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{
@@ -407,10 +398,7 @@ func TestEmbedDetachedSharedSampler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	shared, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	shared := NewNegativeSampler(g, emb)
 	cfg := DefaultIncrementalConfig()
 	other := dataset.Record{ID: "other", Readings: []dataset.Reading{{MAC: "b2", RSS: -58}, {MAC: "a4", RSS: -71}}}
 	otherEdges, err := g.ScanEdges(nil, &other, nil)
@@ -429,10 +417,7 @@ func TestEmbedDetachedSharedSampler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shared sampler: %v", err)
 	}
-	fresh, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	fresh := NewNegativeSampler(g, emb)
 	b, err := EmbedScan(&Workspace{}, edges, emb, cfg, fresh)
 	if err != nil {
 		t.Fatalf("on-the-fly sampler: %v", err)
@@ -457,6 +442,39 @@ func TestEmbedNewNodeErrors(t *testing.T) {
 	bad.Rounds = 0
 	if err := EmbedNewNode(g, emb, 0, bad, nil); err == nil {
 		t.Error("expected error for invalid config")
+	}
+}
+
+// TestEmptySamplerRefusesToEmbed: a graph whose every MAC is retired
+// gives an empty sampler, and embedding against it is an error rather
+// than a draw from no distribution.
+func TestEmptySamplerRefusesToEmbed(t *testing.T) {
+	g, _, _ := twoFloorGraph(t, 5, 3, 8)
+	emb, err := TrainCtx(context.Background(), g, DefaultConfig())
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}}}
+	edges, err := g.ScanEdges(nil, &rec, nil)
+	if err != nil {
+		t.Fatalf("ScanEdges: %v", err)
+	}
+	for _, id := range g.MACNodes() {
+		if err := g.RemoveMAC(g.Name(id)); err != nil {
+			t.Fatalf("RemoveMAC: %v", err)
+		}
+	}
+	neg := NewNegativeSampler(g, emb)
+	cfg := DefaultIncrementalConfig()
+	if _, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg); err == nil {
+		t.Error("EmbedScan against an empty sampler succeeded")
+	}
+	id, err := g.AddRecord(&rec)
+	if err != nil {
+		t.Fatalf("AddRecord: %v", err)
+	}
+	if err := EmbedNewNode(g, emb, id, cfg, neg); err == nil {
+		t.Error("EmbedNewNode against an empty sampler succeeded")
 	}
 }
 

@@ -80,9 +80,11 @@ type NegativeSampler struct {
 
 // NewNegativeSampler builds the deg^{3/4} node distribution and the
 // warm-start table for g. Only nodes with a trained row in emb (index
-// < len(emb.Ego)) are included — untrained vectors are meaningless as
-// negatives and as start points.
-func NewNegativeSampler(g *rfgraph.Graph, emb *Embedding) (*NegativeSampler, error) {
+// < len(emb.Ego)) and a positive weight are included — untrained
+// vectors are meaningless as negatives and as start points. A graph
+// with no such node (every MAC retired) gives an empty sampler, which
+// has no distribution to draw from.
+func NewNegativeSampler(g *rfgraph.Graph, emb *Embedding) *NegativeSampler {
 	trained := len(emb.Ego)
 	if n := g.NumNodes(); n < trained {
 		trained = n
@@ -96,8 +98,12 @@ func NewNegativeSampler(g *rfgraph.Graph, emb *Embedding) (*NegativeSampler, err
 		if !g.Alive(nid) || g.Degree(nid) == 0 {
 			continue
 		}
+		w := math.Pow(g.WeightedDegree(nid), 0.75)
+		if !(w > 0) {
+			continue
+		}
 		nodes = append(nodes, nid)
-		weights = append(weights, math.Pow(g.WeightedDegree(nid), 0.75))
+		weights = append(weights, w)
 		if g.Kind(nid) != rfgraph.KindMAC {
 			continue
 		}
@@ -110,11 +116,13 @@ func NewNegativeSampler(g *rfgraph.Graph, emb *Embedding) (*NegativeSampler, err
 			row[emb.Dim] += he.Weight
 		}
 	}
-	dist, err := sampling.NewAlias(weights)
-	if err != nil {
-		return nil, fmt.Errorf("embed: incremental negative alias: %w", err)
+	neg := &NegativeSampler{nodes: nodes, warm: warm}
+	if len(weights) > 0 {
+		// NewAlias fails only on an empty list, a negative weight or a
+		// zero total, and these weights are all positive.
+		neg.dist, _ = sampling.NewAlias(weights)
 	}
-	return &NegativeSampler{nodes: nodes, dist: dist, warm: warm}, nil
+	return neg
 }
 
 // warmStart writes into dst, of the embedding dimension, the weighted
@@ -215,6 +223,9 @@ func embedEdges(ws *Workspace, edges []rfgraph.Halfedge, emb *Embedding, cfg Inc
 	}
 	if len(edges) == 0 {
 		return nil, nil, errors.New("embed: no edges to embed against")
+	}
+	if neg.dist == nil {
+		return nil, nil, errors.New("embed: empty negative sampler, no trained node in the graph")
 	}
 	seeder := sampling.NewSeeder(cfg.Seed)
 	initSeed := seeder.Next()

@@ -346,10 +346,7 @@ func TestOnlineMatchesSerialReference(t *testing.T) {
 		if _, err := g.AddRecord(&late); err != nil {
 			t.Fatalf("AddRecord: %v", err)
 		}
-		neg, err := NewNegativeSampler(g, emb)
-		if err != nil {
-			t.Fatalf("NewNegativeSampler: %v", err)
-		}
+		neg := NewNegativeSampler(g, emb)
 		for _, rounds := range []int{DefaultIncrementalConfig().Rounds, 20} {
 			for i := range scans {
 				for _, seed := range []int64{1, 7, 1 << 40} {

@@ -50,10 +50,7 @@ func TestWarmStartMatchesBruteForce(t *testing.T) {
 		want[d] /= total
 	}
 	cfg := IncrementalConfig{Rounds: 1, LearningRate: 1e-15, NegativeSamples: 5, Seed: 3}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	got, err := EmbedScan(&Workspace{}, edges, emb, cfg, neg)
 	if err != nil {
 		t.Fatalf("EmbedScan: %v", err)
@@ -74,19 +71,13 @@ func TestWarmStartTableDropsRemovedMAC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	before, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	before := NewNegativeSampler(g, emb)
 	gone, _ := g.MACNode("a0")
 	kept, _ := g.MACNode("a1")
 	if err := g.RemoveMAC("a0"); err != nil {
 		t.Fatalf("RemoveMAC: %v", err)
 	}
-	after, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	after := NewNegativeSampler(g, emb)
 	row := func(n *NegativeSampler, m rfgraph.NodeID) []float64 {
 		stride := emb.Dim + 1
 		return n.warm[int(m)*stride : (int(m)+1)*stride]
@@ -121,10 +112,7 @@ func TestWarmStartStaleTableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	fresh := dataset.Record{ID: "fresh", Readings: []dataset.Reading{{MAC: "c0", RSS: -50}, {MAC: "c1", RSS: -62}}}
 	if _, err := g.AddRecord(&fresh); err != nil {
 		t.Fatalf("AddRecord: %v", err)

@@ -18,10 +18,7 @@ func TestWorkspaceReuseParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	scans := []dataset.Record{
 		{ID: "s1", Readings: []dataset.Reading{{MAC: "a0", RSS: -55}, {MAC: "a3", RSS: -60}}},
 		{ID: "s2", Readings: []dataset.Reading{{MAC: "b1", RSS: -48}}},
@@ -63,10 +60,7 @@ func TestWorkspaceConcurrentIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	neg, err := NewNegativeSampler(g, emb)
-	if err != nil {
-		t.Fatalf("NewNegativeSampler: %v", err)
-	}
+	neg := NewNegativeSampler(g, emb)
 	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}, {MAC: "b0", RSS: -64}}}
 	edges, err := g.ScanEdges(nil, &rec, nil)
 	if err != nil {

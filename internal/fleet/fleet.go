@@ -55,8 +55,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -196,4 +198,21 @@ func nopLogf(string, ...any) {}
 
 func describePos(epoch string, pos wal.Position) string {
 	return fmt.Sprintf("%s@%s", epoch, pos)
+}
+
+// handleMethod mounts h, instrumented, for method on path of a mux whose
+// "/" is the serving surface. Another method on path must not fall
+// through "/" to that surface's 404: it is a 405 naming the allowed
+// methods, as on a mux without "/".
+func handleMethod(mux *http.ServeMux, method, path string, h http.HandlerFunc) {
+	pattern := method + " " + path
+	mux.HandleFunc(pattern, obs.InstrumentHandler(pattern, h))
+	allow := method
+	if method == http.MethodGet {
+		allow += ", " + http.MethodHead // a GET pattern serves HEAD too
+	}
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", allow)
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+	})
 }

@@ -436,8 +436,10 @@ func (f *Follower) replInfo() server.ReplInfo {
 		AppliedRecords: st.applied,
 		LagBytes:       lagBetween(st.apply, st.source),
 		LagBoundBytes:  f.opts.LagBound,
-		LastSync:       st.lastSync,
 		Error:          st.lastErr,
+	}
+	if !st.lastSync.IsZero() {
+		ri.LastSync = &st.lastSync
 	}
 	ri.Ready = st.bootstrapped &&
 		ri.LagBytes <= f.opts.LagBound &&
@@ -454,18 +456,6 @@ func (f *Follower) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts
 		return portfolio.Routed{}, fmt.Errorf("%w (primary: %s)", server.ErrReadOnly, f.Primary())
 	}
 	return f.p.ClassifyRouted(ctx, rec, opts...)
-}
-
-func (f *Follower) ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error) {
-	if core.NewRequest(nil, opts...).Absorb() {
-		routed := make([]portfolio.Routed, len(records))
-		errs := make([]error, len(records))
-		for i := range errs {
-			errs[i] = fmt.Errorf("%w (primary: %s)", server.ErrReadOnly, f.Primary())
-		}
-		return routed, errs
-	}
-	return f.p.ClassifyRoutedBatch(ctx, records, opts...)
 }
 
 func (f *Follower) RemoveMAC(context.Context, string) (int, error) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/lifecycle"
-	"repro/internal/obs"
 	"repro/internal/portfolio"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -126,14 +125,11 @@ func newNode(p *portfolio.Portfolio, opts NodeOptions) *Node {
 	}
 	n := &Node{p: p, opts: opts, logf: logf}
 	mux := http.NewServeMux()
-	nhandle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, obs.InstrumentHandler(pattern, h))
-	}
-	nhandle("GET /v2/repl/status", n.handleReplStatus)
-	nhandle("GET /v2/repl/wal", n.handleReplWAL)
-	nhandle("GET /v2/repl/snapshot", n.handleReplSnapshot)
-	nhandle("POST /v2/admin/promote", n.handlePromote)
-	nhandle("POST /v2/admin/follow", n.handleFollow)
+	handleMethod(mux, http.MethodGet, "/v2/repl/status", n.handleReplStatus)
+	handleMethod(mux, http.MethodGet, "/v2/repl/wal", n.handleReplWAL)
+	handleMethod(mux, http.MethodGet, "/v2/repl/snapshot", n.handleReplSnapshot)
+	handleMethod(mux, http.MethodPost, "/v2/admin/promote", n.handlePromote)
+	handleMethod(mux, http.MethodPost, "/v2/admin/follow", n.handleFollow)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		n.state.Load().handler.ServeHTTP(w, r)
 	})

@@ -75,22 +75,6 @@ func (pr *Primary) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts
 	return routed, err
 }
 
-func (pr *Primary) ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error) {
-	routed, errs := pr.m.ClassifyRoutedBatch(ctx, records, opts...)
-	if core.NewRequest(nil, opts...).Absorb() {
-		// One wait covers the whole batch: the position is read after the
-		// last journaled record.
-		if err := pr.waitReplicated(ctx); err != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = err
-				}
-			}
-		}
-	}
-	return routed, errs
-}
-
 func (pr *Primary) RemoveMAC(ctx context.Context, mac string) (int, error) {
 	n, err := pr.m.RemoveMAC(ctx, mac)
 	if err == nil && n > 0 {

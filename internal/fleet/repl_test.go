@@ -2,13 +2,17 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/server"
 )
 
 // TestFollowerBootstrapAndTail covers the tentpole's follower half:
@@ -230,5 +234,111 @@ func TestPromoteFollower(t *testing.T) {
 		t.Fatal("promoted node has no manager")
 	} else if err := m2.Close(); err != nil {
 		t.Fatalf("close promoted manager: %v", err)
+	}
+}
+
+// TestFollowerRefusesAbsorbingBatch: each line of an absorbing batch sent
+// to a follower is refused as a single absorb is, with the 421 message
+// naming the primary, and the follower's model is left as it was.
+func TestFollowerRefusesAbsorbingBatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, pSrv, _, pool := startPrimary(t, ctx, "alpha", 5, PrimaryOptions{})
+	fNode, fSrv := startFollower(t, ctx, pSrv.URL)
+	waitFor(t, 15*time.Second, "follower ready", func() bool { return fNode.ReplInfo().Ready })
+
+	var scans []dataset.Record
+	var macs []string
+	for i := 0; i < 3; i++ {
+		rec, mac := uniqueScan(pool[i], i)
+		scans = append(scans, rec)
+		macs = append(macs, mac)
+	}
+	for i, item := range postBatch(t, fSrv.URL, "?absorb=true", scans) {
+		if item.Result != nil || !strings.Contains(item.Error, server.ErrReadOnly.Error()) || !strings.Contains(item.Error, pSrv.URL) {
+			t.Errorf("line %d: %+v, want the read-only refusal naming %s", i, item, pSrv.URL)
+		}
+	}
+	sys, err := fNode.Portfolio().System("alpha")
+	if err != nil {
+		t.Fatalf("follower System: %v", err)
+	}
+	for _, mac := range macs {
+		if sys.HasMAC(mac) {
+			t.Errorf("follower absorbed MAC %s from a refused batch", mac)
+		}
+	}
+}
+
+// TestNodeRoutesAnswer405: a replication or admin route asked with
+// another method answers 405 with the allowed methods, not the serving
+// surface's 404.
+func TestNodeRoutesAnswer405(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, pSrv, _, _ := startPrimary(t, ctx, "alpha", 6, PrimaryOptions{})
+	for _, tc := range []struct{ method, path, allow string }{
+		{http.MethodPost, "/v2/repl/status", "GET, HEAD"},
+		{http.MethodGet, "/v2/admin/promote", "POST"},
+	} {
+		req, err := http.NewRequest(tc.method, pSrv.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want 405, Allow %q", tc.method, tc.path, resp.StatusCode, resp.Header.Get("Allow"), tc.allow)
+		}
+	}
+}
+
+// TestReplInfoLastSync: only a follower that has synced reports
+// last_sync; a primary's and the router's replication blocks carry no
+// such key rather than the zero time.
+func TestReplInfoLastSync(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, pSrv, _, _ := startPrimary(t, ctx, "alpha", 7, PrimaryOptions{})
+	fNode, fSrv := startFollower(t, ctx, pSrv.URL)
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{pSrv.URL}}, HealthInterval: 50 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(ctx)
+	defer rt.Stop()
+	rSrv := httptest.NewServer(rt)
+	defer rSrv.Close()
+	waitFor(t, 15*time.Second, "follower ready", func() bool { return fNode.ReplInfo().Ready })
+
+	replication := func(base, path string) map[string]json.RawMessage {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Replication map[string]json.RawMessage `json:"replication"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Replication == nil {
+			t.Fatalf("GET %s%s: no replication block (%v)", base, path, err)
+		}
+		return body.Replication
+	}
+	for _, path := range []string{"/v2/healthz", "/v2/stats"} {
+		for _, node := range []struct{ role, url string }{{"primary", pSrv.URL}, {"router", rSrv.URL}} {
+			if raw, ok := replication(node.url, path)["last_sync"]; ok {
+				t.Errorf("%s %s: last_sync %s, want none", node.role, path, raw)
+			}
+		}
+		raw, ok := replication(fSrv.URL, path)["last_sync"]
+		var synced time.Time
+		if !ok || json.Unmarshal(raw, &synced) != nil || time.Since(synced) > time.Minute {
+			t.Errorf("follower %s: last_sync %s, want its recent sync time", path, raw)
+		}
 	}
 }

@@ -92,9 +92,6 @@ type FleetStatus struct {
 	Groups  []GroupStatus `json:"groups"`
 }
 
-// routerBatchWorkers bounds concurrently routed scans inside one batch.
-const routerBatchWorkers = 16
-
 // routerIdleConnsPerHost is how many idle connections the default router
 // transport keeps per node: http.DefaultTransport's whole pool
 // (MaxIdleConns) rather than its 2 per host, which made every burst of
@@ -236,18 +233,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	rt.index.Store(portfolio.NewMACIndex())
 	mux := http.NewServeMux()
-	rhandle := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" "+path, obs.InstrumentHandler(method+" "+path, h))
-		// Another method on path must not fall through "/" to the node
-		// surface's 404: it is a 405, as on a mux without "/".
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Allow", method)
-			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
-		})
-	}
-	rhandle(http.MethodGet, "/v2/admin/fleet", rt.handleFleet)
-	rhandle(http.MethodPost, "/v2/admin/fleet/promote", rt.handleFleetPromote)
-	rhandle(http.MethodPost, "/v2/admin/fleet/drain", rt.handleFleetDrain)
+	handleMethod(mux, http.MethodGet, "/v2/admin/fleet", rt.handleFleet)
+	handleMethod(mux, http.MethodPost, "/v2/admin/fleet/promote", rt.handleFleetPromote)
+	handleMethod(mux, http.MethodPost, "/v2/admin/fleet/drain", rt.handleFleetDrain)
 	mux.Handle("/", server.NewHandler(rt, rt, server.Options{Repl: rt.replInfo}))
 	rt.mux = mux
 	return rt, nil
@@ -852,20 +840,6 @@ func (rep reply) result() (portfolio.Routed, error) {
 	return cr.Routed(), nil
 }
 
-// ClassifyRoutedBatch routes each scan as ClassifyRouted does, at most
-// routerBatchWorkers at a time. Once ctx is done, the scans not yet
-// routed fail with its error.
-func (rt *Router) ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error) {
-	routed := make([]portfolio.Routed, len(records))
-	errs := make([]error, len(records))
-	_ = par.ForEachCtxFillBounded(ctx, len(records), routerBatchWorkers, func(i int) {
-		routed[i], errs[i] = rt.ClassifyRouted(ctx, &records[i], opts...)
-	}, func(i int, err error) {
-		errs[i] = err
-	})
-	return routed, errs
-}
-
 // forwardWrite relays a write to group gi's primary, retrying with
 // jittered exponential backoff — within the retry budget — on transport
 // errors and on answers that explicitly mean "not applied, try again"
@@ -997,7 +971,6 @@ func (rt *Router) Stats(ctx context.Context) []portfolio.BuildingStats {
 		for _, b := range st.PerBuilding {
 			out = append(out, portfolio.BuildingStats{Building: b.Building, GraphStats: core.GraphStats{
 				Records: b.Records, MACs: b.MACs, Edges: b.Edges,
-				SamplerRebuildFailures: b.SamplerRebuildFailures, LastSamplerError: b.LastSamplerError,
 			}})
 		}
 	}

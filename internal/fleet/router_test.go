@@ -38,6 +38,11 @@ type shardFleet struct {
 	urls   []string           // per group
 	hits   []*atomic.Int64    // per group: requests that reached the node outside /v2/repl/
 	last   []*nodeReply       // per group: the node's latest reply outside /v2/repl/
+
+	// inflight counts the requests outside /v2/repl/ that every node is
+	// serving, and peak the most at once. While peak is below hold, a
+	// request waits up to a second for others to join it.
+	inflight, peak, hold atomic.Int64
 }
 
 // nodeReply is a reply as the client sees it: status, Retry-After and
@@ -100,6 +105,7 @@ func newShardFleet(t *testing.T, ctx context.Context, perGroup int) *shardFleet 
 				return
 			}
 			hits.Add(1)
+			defer f.enterHop()()
 			rec := httptest.NewRecorder()
 			node.ServeHTTP(rec, r)
 			last.mu.Lock()
@@ -129,6 +135,18 @@ func newShardFleet(t *testing.T, ctx context.Context, perGroup int) *shardFleet 
 	f.srv = httptest.NewServer(f.router)
 	t.Cleanup(f.srv.Close)
 	return f
+}
+
+// enterHop counts a request in flight on a node, raising peak, and waits
+// while peak is below hold. It returns the request's exit.
+func (f *shardFleet) enterHop() func() {
+	n := f.inflight.Add(1)
+	for p := f.peak.Load(); n > p && !f.peak.CompareAndSwap(p, n); p = f.peak.Load() {
+	}
+	for deadline := time.Now().Add(time.Second); f.peak.Load() < f.hold.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return func() { f.inflight.Add(-1) }
 }
 
 // macs returns the first n MACs of building b's graph.
@@ -713,6 +731,93 @@ func TestRouterBatchStatsAndAdmin(t *testing.T) {
 	uResp.Body.Close()
 	if status, _ := postClassify(t, f.srv.URL, "/v2/classify", &f.pools[0][3], false); status != http.StatusOK {
 		t.Fatalf("classify after undo drain: status %d", status)
+	}
+}
+
+// postBatch sends scans as an NDJSON batch with the given query and
+// decodes the reply's lines.
+func postBatch(t *testing.T, base, query string, scans []dataset.Record) []server.StreamItem {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for i := range scans {
+		if err := enc.Encode(scans[i]); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+	}
+	resp, err := http.Post(base+"/v2/classify/batch"+query, "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatalf("POST batch: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	items := make([]server.StreamItem, len(scans))
+	dec := json.NewDecoder(resp.Body)
+	for i := range items {
+		if err := dec.Decode(&items[i]); err != nil {
+			t.Fatalf("decode batch line %d: %v", i, err)
+		}
+		if items[i].ID != scans[i].ID {
+			t.Fatalf("batch line %d is %q, want %q", i, items[i].ID, scans[i].ID)
+		}
+	}
+	return items
+}
+
+// TestRouterBatchRoutesEachScan: a routed batch goes through
+// ClassifyRouted scan by scan. An absorbing batch lands each scan on its
+// owning group's primary only, and a 64-scan read batch keeps at least
+// 16 hops in flight at once.
+func TestRouterBatchRoutesEachScan(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+
+	var reads []dataset.Record
+	var owner []string
+	for i := 0; len(reads) < 64; i++ {
+		gi := i % 2
+		rec := f.pools[gi][i/2%len(f.pools[gi])]
+		rec.ID = fmt.Sprintf("read-%d", i)
+		reads = append(reads, rec)
+		owner = append(owner, f.names[gi])
+	}
+	f.hold.Store(16)
+	for i, item := range postBatch(t, f.srv.URL, "", reads) {
+		if item.Result == nil || item.Result.Building != owner[i] {
+			t.Fatalf("read line %d: %+v, want a result from %s", i, item, owner[i])
+		}
+	}
+	f.hold.Store(0)
+	if got := f.peak.Load(); got < 16 {
+		t.Errorf("a 64-scan batch kept at most %d hops in flight, want at least 16", got)
+	} else {
+		t.Logf("a 64-scan batch kept up to %d hops in flight", got)
+	}
+
+	var absorbs []dataset.Record
+	var macs []string
+	for i := 0; i < 4; i++ {
+		rec, mac := uniqueScan(f.pools[i%2][i], 100+i)
+		absorbs = append(absorbs, rec)
+		macs = append(macs, mac)
+	}
+	for i, item := range postBatch(t, f.srv.URL, "?absorb=true", absorbs) {
+		gi := i % 2
+		if item.Result == nil || !item.Result.Absorbed || item.Result.Building != f.names[gi] {
+			t.Fatalf("absorb line %d: %+v, want %s absorbed", i, item, f.names[gi])
+		}
+		for g, node := range f.nodes {
+			sys, err := node.Portfolio().System(f.names[g])
+			if err != nil {
+				t.Fatalf("System: %v", err)
+			}
+			if sys.HasMAC(macs[i]) != (g == gi) {
+				t.Errorf("absorb %d: group %d holds its MAC %v, want only group %d to", i, g, sys.HasMAC(macs[i]), gi)
+			}
+		}
 	}
 }
 

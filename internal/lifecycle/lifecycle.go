@@ -121,8 +121,9 @@ type buildingState struct {
 }
 
 // Manager wraps a portfolio with the durable model lifecycle. It
-// implements core.Classifier; absorbing classifications are journaled and
-// counted toward the refit policy. Safe for concurrent use.
+// classifies one scan per call; absorbing classifications and MAC
+// retirements are journaled, and absorbs count toward the refit policy.
+// Safe for concurrent use.
 type Manager struct {
 	p        *portfolio.Portfolio
 	log      *wal.Log // nil when StateDir is empty
@@ -192,20 +193,9 @@ type Manager struct {
 // Manager's lifetime — background refits are cancelled by Close, not by
 // ctx.
 func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, error) {
+	opts = opts.withDefaults()
 	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	if opts.Policy.CheckInterval <= 0 {
-		opts.Policy.CheckInterval = time.Minute
-	}
-
 	p := portfolio.New(cfg)
-	var jrnl *wal.Log
 	replayed := 0
 	if opts.StateDir != "" {
 		restored, err := portfolio.LoadPortfolio(opts.StateDir, cfg)
@@ -218,12 +208,10 @@ func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, erro
 		default:
 			return nil, err
 		}
-		walDir := opts.WAL
-		walDir.Dir = walPath(opts.StateDir)
 		// Replay before opening: the journal's torn tail, if any, is the
 		// crash point, and Open would add a fresh segment after it.
 		skipped := 0
-		n, err := wal.Replay(walDir.Dir, func(r wal.Record) error {
+		n, err := wal.Replay(walPath(opts.StateDir), func(r wal.Record) error {
 			if err := ctx.Err(); err != nil {
 				// Abort the boot: a half-replayed portfolio must not open.
 				return err
@@ -246,28 +234,11 @@ func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, erro
 			logf("lifecycle: replayed %d/%d journaled absorbs", replayed, n)
 		}
 		replayedTotal.Add(int64(replayed))
-		jrnl, err = wal.Open(walDir)
-		if err != nil {
-			return nil, err
-		}
 	}
 
-	// grafics:ctxok manager-lifetime root: refits outlive the open ctx and are cancelled by Close
-	refitCtx, refitCancel := context.WithCancel(context.Background())
-	m := &Manager{
-		p:            p,
-		log:          jrnl,
-		stateDir:     opts.StateDir,
-		policy:       opts.Policy,
-		logf:         logf,
-		now:          now,
-		st:           make(map[string]*buildingState),
-		replayed:     replayed,
-		stop:         make(chan struct{}),
-		refitCtx:     refitCtx,
-		refitCancel:  refitCancel,
-		degThreshold: opts.degradedThreshold(),
-		degProbe:     opts.degradedProbe(),
+	m, err := newManager(p, opts, replayed)
+	if err != nil {
+		return nil, err
 	}
 	// Fold a non-trivial replay into a fresh snapshot right away:
 	// otherwise a crash-looping process re-replays (and re-grows) the WAL
@@ -284,10 +255,6 @@ func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, erro
 	for _, name := range p.Buildings() {
 		m.maybeRefit(name)
 	}
-	if m.policy.MaxModelAge > 0 {
-		m.wg.Add(1)
-		go m.ageLoop()
-	}
 	return m, nil
 }
 
@@ -302,48 +269,63 @@ func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, erro
 // moment of promotion; any stale WAL content under StateDir from an
 // earlier incarnation is superseded by that snapshot.
 func Manage(p *portfolio.Portfolio, opts Options) (*Manager, error) {
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	if opts.Policy.CheckInterval <= 0 {
-		opts.Policy.CheckInterval = time.Minute
-	}
-	var jrnl *wal.Log
-	if opts.StateDir != "" {
-		walDir := opts.WAL
-		walDir.Dir = walPath(opts.StateDir)
-		var err error
-		jrnl, err = wal.Open(walDir)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// grafics:ctxok manager-lifetime root: refits are cancelled by Close
-	refitCtx, refitCancel := context.WithCancel(context.Background())
-	m := &Manager{
-		p:            p,
-		log:          jrnl,
-		stateDir:     opts.StateDir,
-		policy:       opts.Policy,
-		logf:         logf,
-		now:          now,
-		st:           make(map[string]*buildingState),
-		stop:         make(chan struct{}),
-		refitCtx:     refitCtx,
-		refitCancel:  refitCancel,
-		degThreshold: opts.degradedThreshold(),
-		degProbe:     opts.degradedProbe(),
+	m, err := newManager(p, opts, 0)
+	if err != nil {
+		return nil, err
 	}
 	if m.stateDir != "" {
 		if err := m.Snapshot(); err != nil {
 			m.Close()
 			return nil, fmt.Errorf("lifecycle: adoption snapshot: %w", err)
 		}
+	}
+	return m, nil
+}
+
+// withDefaults fills in the zero Logf, Now and Policy.CheckInterval.
+func (o Options) withDefaults() Options {
+	if o.Logf == nil {
+		o.Logf = func(string, ...any) {}
+	}
+	if o.Now == nil {
+		o.Now = time.Now
+	}
+	if o.Policy.CheckInterval <= 0 {
+		o.Policy.CheckInterval = time.Minute
+	}
+	return o
+}
+
+// newManager builds the Manager over p, which OpenCtx has restored and
+// Manage adopts: it opens the journal under opts.StateDir (none without
+// one) and starts the age loop.
+func newManager(p *portfolio.Portfolio, opts Options, replayed int) (*Manager, error) {
+	opts = opts.withDefaults()
+	var jrnl *wal.Log
+	if opts.StateDir != "" {
+		walOpts := opts.WAL
+		walOpts.Dir = walPath(opts.StateDir)
+		var err error
+		if jrnl, err = wal.Open(walOpts); err != nil {
+			return nil, err
+		}
+	}
+	// grafics:ctxok manager-lifetime root: refits outlive the open ctx and are cancelled by Close
+	refitCtx, refitCancel := context.WithCancel(context.Background())
+	m := &Manager{
+		p:            p,
+		log:          jrnl,
+		stateDir:     opts.StateDir,
+		policy:       opts.Policy,
+		logf:         opts.Logf,
+		now:          opts.Now,
+		st:           make(map[string]*buildingState),
+		replayed:     replayed,
+		stop:         make(chan struct{}),
+		refitCtx:     refitCtx,
+		refitCancel:  refitCancel,
+		degThreshold: opts.degradedThreshold(),
+		degProbe:     opts.degradedProbe(),
 	}
 	if m.policy.MaxModelAge > 0 {
 		m.wg.Add(1)
@@ -434,11 +416,9 @@ func (m *Manager) state(name string) *buildingState {
 	return bs
 }
 
-var _ core.Classifier = (*Manager)(nil)
-
-// Classify implements core.Classifier. Read-only classifications pass
-// straight through to the portfolio; absorbing ones are journaled to the
-// WAL before the call returns and counted toward the refit policy.
+// Classify classifies one scan. Read-only classifications pass straight
+// through to the portfolio; absorbing ones are journaled to the WAL
+// before the call returns and counted toward the refit policy.
 func (m *Manager) Classify(ctx context.Context, rec *dataset.Record, opts ...core.Option) (core.Result, error) {
 	routed, err := m.ClassifyRouted(ctx, rec, opts...)
 	return routed.Result, err
@@ -467,52 +447,6 @@ func (m *Manager) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts 
 		m.maybeRefit(routed.Building)
 	}
 	return routed, err
-}
-
-// ClassifyBatch implements core.Classifier for batches.
-func (m *Manager) ClassifyBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]core.Result, []error) {
-	routed, errs := m.ClassifyRoutedBatch(ctx, records, opts...)
-	results := make([]core.Result, len(records))
-	for i := range routed {
-		results[i] = routed[i].Result
-	}
-	return results, errs
-}
-
-// ClassifyRoutedBatch is ClassifyBatch keeping per-record attributions.
-// For absorbing batches every successful record is journaled; the refit
-// check runs once per touched building after the batch.
-func (m *Manager) ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error) {
-	if !core.NewRequest(nil, opts...).Absorb() {
-		return m.p.ClassifyRoutedBatch(ctx, records, opts...)
-	}
-	if err := m.admitAbsorb(); err != nil {
-		routed := make([]portfolio.Routed, len(records))
-		errs := make([]error, len(records))
-		for i := range errs {
-			errs[i] = err
-		}
-		return routed, errs
-	}
-	touched := make(map[string]struct{})
-	routed, errs := func() ([]portfolio.Routed, []error) {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		routed, errs := m.p.ClassifyRoutedBatch(ctx, records, opts...)
-		for i := range routed {
-			if errs[i] == nil {
-				errs[i] = m.journal(wal.Record{Building: routed[i].Building, Scan: records[i]})
-			}
-			if errs[i] == nil {
-				touched[routed[i].Building] = struct{}{}
-			}
-		}
-		return routed, errs
-	}()
-	for name := range touched {
-		m.maybeRefit(name)
-	}
-	return routed, errs
 }
 
 // RemoveMAC retires an access point fleet-wide, journaled so the

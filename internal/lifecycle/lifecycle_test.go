@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/embed"
+	"repro/internal/portfolio"
 	"repro/internal/simulate"
 	"repro/internal/wal"
 )
@@ -81,10 +83,11 @@ func waitRefitDone(t *testing.T, m *Manager) {
 	}
 }
 
-// accuracy scores a classifier on a held-out pool.
-func accuracy(t *testing.T, c core.Classifier, pool []dataset.Record) float64 {
+// accuracy scores the manager's model on a held-out pool, read through
+// its portfolio as the manager's own read path does.
+func accuracy(t *testing.T, m *Manager, pool []dataset.Record) float64 {
 	t.Helper()
-	results, errs := c.ClassifyBatch(context.Background(), pool, core.WithoutEmbedding())
+	results, errs := m.Portfolio().ClassifyBatch(context.Background(), pool, core.WithoutEmbedding())
 	ok := 0
 	for i := range results {
 		if errs[i] != nil {
@@ -706,5 +709,48 @@ func TestRefitKeepsAbsorbNames(t *testing.T) {
 	}
 	if got := absorbedNames(t, m, "campus"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("crowd records %v, want %v", got, want)
+	}
+}
+
+// TestRetireEveryMACSurvivesRestarts: a building whose every MAC was
+// retired through the manager keeps a state directory that boots. The
+// first restart replays the retirements and snapshots the result; the
+// second restores that snapshot, and the building still answers its own
+// scans as unattributable instead of refusing to load.
+func TestRetireEveryMACSurvivesRestarts(t *testing.T) {
+	dir := t.TempDir()
+	train, test := campus(t, 30, 3)
+	ctx := context.Background()
+	m := openManaged(t, dir, Policy{}, train)
+	if err := m.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	sys, err := m.Portfolio().System("campus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	macs := sys.MACs()
+	for _, mac := range macs {
+		if _, err := m.RemoveMAC(ctx, mac); err != nil {
+			t.Fatalf("RemoveMAC(%s): %v", mac, err)
+		}
+	}
+	// No Close: the retirements live only in the WAL. The first restart
+	// replays them, the second restores its post-replay snapshot.
+	for boot, wantReplayed := range []int{len(macs), 0} {
+		m, err = OpenCtx(ctx, fastConfig(), Options{StateDir: dir, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("restart %d after retiring all %d MACs: %v", boot+1, len(macs), err)
+		}
+		defer m.Close()
+		if got := m.Status().Replayed; got != wantReplayed {
+			t.Errorf("restart %d replayed %d records, want %d", boot+1, got, wantReplayed)
+		}
+	}
+	if st := m.Portfolio().Stats(ctx); len(st) != 1 || st[0].MACs != 0 || st[0].Edges != 0 {
+		t.Errorf("restored stats %+v, want campus with no MACs and no edges", st)
+	}
+	if _, err := m.Classify(ctx, &test[0]); !errors.Is(err, portfolio.ErrUnattributable) {
+		t.Fatalf("classify after every MAC was retired: %v, want ErrUnattributable", err)
 	}
 }

@@ -80,15 +80,6 @@ func (b *blockingRouter) ClassifyRouted(ctx context.Context, rec *dataset.Record
 	return portfolio.Routed{Building: "b"}, nil
 }
 
-func (b *blockingRouter) ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error) {
-	routed := make([]portfolio.Routed, len(records))
-	errs := make([]error, len(records))
-	for i := range records {
-		routed[i], errs[i] = b.ClassifyRouted(ctx, &records[i], opts...)
-	}
-	return routed, errs
-}
-
 func (b *blockingRouter) RemoveMAC(context.Context, string) (int, error) { return 0, nil }
 
 // TestAdmissionControlShedsBurst fills the gate with blocked absorbs

@@ -46,12 +46,12 @@
 // embeds a scan from its edges into the frozen graph under only a shared
 // read lock, so the net/http goroutine-per-request model gives
 // near-linear scaling with cores out of the box — no serialization on a
-// model mutex. The batch route additionally fans one request's scans out
-// over a worker pool (portfolio.ClassifyRoutedBatch), which keeps a
-// single bulk client saturating the machine without having to pipeline
-// its own HTTP requests. Request contexts propagate into the
-// classification layer, so timeouts and client disconnects abort
-// in-flight batches promptly.
+// model mutex. The batch route additionally runs each 64-scan chunk's
+// scans through Router.ClassifyRouted at once, which keeps a single bulk
+// client saturating the machine without having to pipeline its own HTTP
+// requests; an absorbing line takes exactly a single absorb's path.
+// Request contexts propagate into the classification layer, so timeouts
+// and client disconnects abort in-flight batches promptly.
 package server
 
 import (
@@ -71,13 +71,14 @@ import (
 )
 
 // Router is the write-path entry point the HTTP surface talks to:
-// classification (absorbs included) and AP retirement.
+// classification of one scan (absorbs included) and AP retirement. A
+// batch is many single classifications, which the batch route fans out
+// itself, so a role implements no batch method.
 // portfolio.Portfolio implements it directly; lifecycle.Manager wraps it
 // with write-ahead journaling and refit accounting, so when a lifecycle
 // manager is attached every write taken over HTTP is durable.
 type Router interface {
 	ClassifyRouted(ctx context.Context, rec *dataset.Record, opts ...core.Option) (portfolio.Routed, error)
-	ClassifyRoutedBatch(ctx context.Context, records []dataset.Record, opts ...core.Option) ([]portfolio.Routed, []error)
 	RemoveMAC(ctx context.Context, mac string) (int, error)
 }
 
@@ -169,8 +170,9 @@ type ReplInfo struct {
 	// served from memory, but absorbs are refused with 503 until a
 	// recovery probe succeeds.
 	Degraded bool `json:"degraded,omitempty"`
-	// LastSync is when the node last heard from its source.
-	LastSync time.Time `json:"last_sync,omitempty"`
+	// LastSync is when the node last heard from its source: set by a
+	// follower once it has synced, absent on every other role.
+	LastSync *time.Time `json:"last_sync,omitempty"`
 	// Error is the most recent replication failure, empty while healthy.
 	Error string `json:"error,omitempty"`
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/portfolio"
 )
 
@@ -70,16 +71,11 @@ type StreamItem struct {
 
 // StatsResponse is the v2 stats reply.
 type StatsResponse struct {
-	Buildings int `json:"buildings"`
-	Records   int `json:"records"`
-	MACs      int `json:"macs"`
-	Edges     int `json:"edges"`
-	// SamplerRebuildFailures totals the per-building counts; a nonzero
-	// value means some building is serving a negative-sampling
-	// distribution older than its graph (see the per-building entries for
-	// which, and for the most recent error).
-	SamplerRebuildFailures int64               `json:"sampler_rebuild_failures"`
-	PerBuilding            []BuildingStatsItem `json:"per_building"`
+	Buildings   int                 `json:"buildings"`
+	Records     int                 `json:"records"`
+	MACs        int                 `json:"macs"`
+	Edges       int                 `json:"edges"`
+	PerBuilding []BuildingStatsItem `json:"per_building"`
 	// Replication reports the node's role, applied WAL position, and lag
 	// in a fleet deployment; absent on a standalone daemon.
 	Replication *ReplInfo `json:"replication,omitempty"`
@@ -91,19 +87,11 @@ type BuildingStatsItem struct {
 	Records  int    `json:"records"`
 	MACs     int    `json:"macs"`
 	Edges    int    `json:"edges"`
-	// SamplerRebuildFailures counts negative-sampler rebuild failures
-	// this building's live model absorbed silently since it was fitted
-	// (a lifecycle refit swaps in a fresh model, sampler, and count);
-	// LastSamplerError is the most recent one, cleared once a rebuild
-	// succeeds. A count climbing between refits marks a stuck sampler.
-	SamplerRebuildFailures int64  `json:"sampler_rebuild_failures,omitempty"`
-	LastSamplerError       string `json:"last_sampler_error,omitempty"`
 }
 
-// ndjsonChunkSize is how many scans the batch route classifies (in
-// parallel) between writes: large enough to saturate the worker pool,
-// small enough that results stream out steadily and cancellation is
-// noticed quickly.
+// ndjsonChunkSize is how many scans the batch route classifies at once
+// between writes: enough to keep every core busy, few enough that
+// results stream out steadily and cancellation is noticed quickly.
 const ndjsonChunkSize = 64
 
 // registerV2 mounts the v2 routes on mux. Classification and MAC
@@ -139,13 +127,10 @@ func registerV2(mux *http.ServeMux, c Catalog, rt Router, opts Options) {
 		for i, b := range per {
 			resp.PerBuilding[i] = BuildingStatsItem{
 				Building: b.Building, Records: b.Records, MACs: b.MACs, Edges: b.Edges,
-				SamplerRebuildFailures: b.SamplerRebuildFailures,
-				LastSamplerError:       b.LastSamplerError,
 			}
 			resp.Records += b.Records
 			resp.MACs += b.MACs
 			resp.Edges += b.Edges
-			resp.SamplerRebuildFailures += b.SamplerRebuildFailures
 		}
 		if repl != nil {
 			ri := repl()
@@ -295,6 +280,10 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 		}
 
 		ctx := r.Context()
+		// One chunk's verdicts, reused by every chunk: each index gets
+		// its error, nil or not, before it is read.
+		routed := make([]portfolio.Routed, min(ndjsonChunkSize, len(recs)))
+		errs := make([]error, len(routed))
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		wroteAny := false
@@ -315,7 +304,14 @@ func classifyBatchV2(rt Router, gate *absorbGate) http.HandlerFunc {
 				return
 			}
 			chunk := recs[start:min(start+ndjsonChunkSize, len(recs))]
-			routed, errs := rt.ClassifyRoutedBatch(ctx, chunk, opts...)
+			// Every scan of the chunk at once, each a single
+			// classification (an absorbing one a single absorb); a scan
+			// not started once ctx is done fails with its error.
+			_ = par.ForEachCtxFillBounded(ctx, len(chunk), len(chunk), func(i int) {
+				routed[i], errs[i] = rt.ClassifyRouted(ctx, &chunk[i], opts...)
+			}, func(i int, err error) {
+				errs[i] = err
+			})
 			for i := range chunk {
 				item := StreamItem{ID: chunk[i].ID}
 				if errs[i] != nil {

@@ -487,10 +487,9 @@ func TestV2BatchAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestV2StatsSamplerFailures: a building whose negative sampler can no
-// longer rebuild (every MAC retired) must report the failure count and
-// last error through /v2/stats, totalled at the top level.
-func TestV2StatsSamplerFailures(t *testing.T) {
+// TestV2StatsEveryMACRetired: a building whose every MAC is retired
+// still reports its statistics, with no MACs and no edges left.
+func TestV2StatsEveryMACRetired(t *testing.T) {
 	p, _ := testPortfolio(t)
 	srv := httptest.NewServer(NewHandler(p, p, Options{}))
 	t.Cleanup(srv.Close)
@@ -509,12 +508,12 @@ func TestV2StatsSamplerFailures(t *testing.T) {
 		t.Fatalf("GET: %v", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats status %d, want 200", resp.StatusCode)
+	}
 	var sr StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatalf("decode: %v", err)
-	}
-	if sr.SamplerRebuildFailures == 0 {
-		t.Fatalf("total sampler failures = 0 after emptying %q: %+v", name, sr)
 	}
 	found := false
 	for _, b := range sr.PerBuilding {
@@ -522,8 +521,8 @@ func TestV2StatsSamplerFailures(t *testing.T) {
 			continue
 		}
 		found = true
-		if b.SamplerRebuildFailures == 0 || b.LastSamplerError == "" {
-			t.Errorf("per-building sampler failure not surfaced: %+v", b)
+		if b.MACs != 0 || b.Edges != 0 || b.Records == 0 {
+			t.Errorf("stats of %q after retiring every MAC: %+v, want its records with 0 macs and 0 edges", name, b)
 		}
 	}
 	if !found {
