@@ -91,7 +91,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Fleet counters are zero on a single node but still exposed.
 		"grafics_fleet_wal_shipped_bytes_total",
 		"grafics_fleet_repl_lag_bytes",
-		"grafics_fleet_scatter_seconds_count",
 		"grafics_fleet_routed_reads_total",
 		// Robustness instrumentation: circuit breakers, write-path
 		// admission control, WAL poisoning, and degraded read-only mode

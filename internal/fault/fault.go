@@ -3,12 +3,12 @@
 // outside world — files (the WAL and follower mirrors) and HTTP (fleet
 // replication and routing) — and injects the failures a crowd-grown
 // fleet actually meets: write errors after N successes, torn writes,
-// ENOSPC, slow or failing fsync, network partitions, request hangs,
-// 5xx bursts, and added latency.
+// ENOSPC, slow or failing fsync, network partitions, request hangs and
+// 5xx bursts.
 //
-// Everything is seed-driven and counter-based rather than wall-clock
-// probabilistic, so a chaos test replays the same fault schedule on
-// every run: "the 3rd write tears" is reproducible, "2% of writes
+// Every fault schedule is counter-based rather than wall-clock
+// probabilistic, so a chaos test replays the same faults on every
+// run: "the 3rd write tears" is reproducible, "2% of writes
 // tear" is not. Faults are armed and healed at runtime, which is how a
 // scenario models recovery (the disk fills, the operator frees space,
 // the node resumes).
@@ -39,5 +39,4 @@ const (
 	KindHTTPCut   = "http_cut"   // request refused (partition, fail-fast)
 	KindHTTPHang  = "http_hang"  // request blackholed until its context expired
 	KindHTTP5xx   = "http_5xx"   // request answered with an injected 5xx
-	KindHTTPSlow  = "http_slow"  // request delayed
 )

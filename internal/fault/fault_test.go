@@ -25,7 +25,7 @@ func TestTransportFailNextThenRecovers(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	tr := NewTransport(nil, 1)
+	tr := NewTransport(nil)
 	tr.FailNext(2, http.StatusServiceUnavailable)
 	hc := &http.Client{Transport: tr}
 
@@ -54,7 +54,7 @@ func TestTransportPartitionAndHeal(t *testing.T) {
 	defer srv.Close()
 	host := srv.Listener.Addr().String()
 
-	tr := NewTransport(nil, 2)
+	tr := NewTransport(nil)
 	tr.Partition(host)
 	hc := &http.Client{Transport: tr}
 
@@ -77,7 +77,7 @@ func TestTransportBlackholeHonorsContext(t *testing.T) {
 	defer srv.Close()
 	host := srv.Listener.Addr().String()
 
-	tr := NewTransport(nil, 3)
+	tr := NewTransport(nil)
 	tr.Blackhole(host)
 	hc := &http.Client{Transport: tr}
 

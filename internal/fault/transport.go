@@ -3,11 +3,9 @@ package fault
 import (
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 )
 
 // partMode is what happens to a request aimed at a partitioned host.
@@ -20,9 +18,8 @@ const (
 
 // Transport is an http.RoundTripper that injects network faults in
 // front of a real transport. Hosts are matched on URL.Host (host:port).
-// Fault schedules are counter-based; the only randomness is latency
-// jitter, drawn from a seeded generator so a given seed replays the
-// same delays. Safe for concurrent use.
+// Fault schedules are counter-based, so a test replays the same faults
+// on every run. Safe for concurrent use.
 //
 // The zero-fault state forwards every request untouched.
 type Transport struct {
@@ -30,13 +27,7 @@ type Transport struct {
 
 	mu sync.Mutex
 	// grafics:guardedby mu
-	rng *rand.Rand
-	// grafics:guardedby mu
 	parts map[string]partMode
-	// grafics:guardedby mu
-	latency time.Duration
-	// grafics:guardedby mu
-	jitter time.Duration
 	// grafics:guardedby mu
 	failN int // requests remaining in the current 5xx burst
 	// grafics:guardedby mu
@@ -44,14 +35,13 @@ type Transport struct {
 }
 
 // NewTransport wraps base (http.DefaultTransport when nil) with a fault
-// injector whose latency jitter is driven by seed.
-func NewTransport(base http.RoundTripper, seed uint64) *Transport {
+// injector.
+func NewTransport(base http.RoundTripper) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
 	}
 	return &Transport{
 		base:  base,
-		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 		parts: make(map[string]partMode),
 	}
 }
@@ -85,14 +75,6 @@ func (t *Transport) HealPartition(hosts ...string) {
 	t.mu.Unlock()
 }
 
-// SetLatency delays every forwarded request by base plus a uniformly
-// drawn jitter. Zero/zero heals.
-func (t *Transport) SetLatency(base, jitter time.Duration) {
-	t.mu.Lock()
-	t.latency, t.jitter = base, jitter
-	t.mu.Unlock()
-}
-
 // FailNext answers the next n requests with the given 5xx status
 // instead of forwarding them — a server-side error burst.
 func (t *Transport) FailNext(n, status int) {
@@ -102,39 +84,23 @@ func (t *Transport) FailNext(n, status int) {
 }
 
 // admit decides one request's fate under the armed faults.
-func (t *Transport) admit(host string) (mode partMode, cut bool, delay time.Duration, status int) {
+func (t *Transport) admit(host string) (mode partMode, cut bool, status int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.latency > 0 || t.jitter > 0 {
-		delay = t.latency
-		if t.jitter > 0 {
-			delay += time.Duration(t.rng.Int64N(int64(t.jitter)))
-		}
-	}
 	if m, ok := t.parts[host]; ok {
-		return m, true, delay, 0
+		return m, true, 0
 	}
 	if t.failN > 0 {
 		t.failN--
-		return 0, false, delay, t.failStatus
+		return 0, false, t.failStatus
 	}
-	return 0, false, delay, 0
+	return 0, false, 0
 }
 
 // RoundTrip applies the armed faults to req, forwarding it when it
 // survives them.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	mode, cut, delay, status := t.admit(req.URL.Host)
-	if delay > 0 {
-		injected(KindHTTPSlow)
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-req.Context().Done():
-			timer.Stop()
-			return nil, req.Context().Err()
-		}
-	}
+	mode, cut, status := t.admit(req.URL.Host)
 	if cut {
 		switch mode {
 		case partHang:

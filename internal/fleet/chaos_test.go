@@ -110,7 +110,7 @@ func TestChaosPartitionHealsAndConverges(t *testing.T) {
 
 	_, pSrv, _, pool := startPrimary(t, ctx, "alpha", 21, PrimaryOptions{})
 	host := mustHost(t, pSrv.URL)
-	ft := fault.NewTransport(nil, 21)
+	ft := fault.NewTransport(nil)
 	fNode, _ := startFollowerOpts(t, ctx, pSrv.URL, FollowerOptions{
 		Transport:  ft,
 		StaleAfter: 250 * time.Millisecond,

@@ -26,16 +26,11 @@ type Client struct {
 	reqTimeout time.Duration
 }
 
-// NewClient targets a node's base URL (scheme://host:port, no trailing
-// slash required). timeout bounds each request end to end (0 means
-// defaultHTTPTimeout).
-func NewClient(base string, timeout time.Duration) *Client {
-	return NewClientWith(base, timeout, nil)
-}
-
-// NewClientWith is NewClient with an explicit transport — the
-// fault-injection seam (internal/fault.Transport) and the hook for
-// custom dialers. A nil transport means http.DefaultTransport.
+// NewClientWith targets a node's base URL (scheme://host:port, no
+// trailing slash required). timeout bounds each request end to end (0
+// means defaultHTTPTimeout). rt is the transport — the fault-injection
+// seam (internal/fault.Transport) and the hook for custom dialers; nil
+// means http.DefaultTransport.
 func NewClientWith(base string, timeout time.Duration, rt http.RoundTripper) *Client {
 	return &Client{
 		base:       strings.TrimRight(base, "/"),

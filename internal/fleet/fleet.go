@@ -33,15 +33,17 @@
 //     MAC index (portfolio.MACIndex) from each group's primary's report,
 //     or its most caught-up member's while it knows of no primary in the
 //     group. A read goes to one caught-up member of the group holding the
-//     winning building, an absorb straight to that group's primary; only
-//     a scan whose MACs no group has reported is scattered to every
-//     group. The router is a server.Router and a server.Catalog, so it
-//     serves a node's own HTTP surface (server.NewHandler): it decodes
-//     each node's answer and the surface encodes it again, and a node's
-//     refusal comes back as a server.StatusError with the node's status,
-//     Retry-After and message. Its own routes are the /v2/admin/fleet
-//     topology, promote and drain. It also health-checks members and
-//     automatically promotes the freshest follower when a primary dies.
+//     winning building, an absorb straight to that group's primary, and a
+//     scan whose MACs no group has reported is refused without a hop. A
+//     routed absorb's new MACs join the index at once, before the next
+//     poll reports them. The router is a server.Router and a
+//     server.Catalog, so it serves a node's own HTTP surface
+//     (server.NewHandler): it decodes each node's answer and the surface
+//     encodes it again, and a node's refusal comes back as a
+//     server.StatusError with the node's status, Retry-After and message.
+//     Its own routes are the /v2/admin/fleet topology, promote and drain.
+//     It also health-checks members and automatically promotes the
+//     freshest follower when a primary dies.
 //
 // Positions are wal.Position (segment index + byte offset) tagged with
 // the log's epoch. Any WAL truncation on the primary (snapshot, refit)
@@ -67,7 +69,6 @@ import (
 type Role string
 
 const (
-	RoleSingle   Role = "single"
 	RolePrimary  Role = "primary"
 	RoleFollower Role = "follower"
 	RoleRouter   Role = "router"

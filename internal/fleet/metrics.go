@@ -1,8 +1,8 @@
 // Fleet observability instruments, covering both sides of replication
 // and the routing tier. Replication lag and ack-wait time are the
-// operator's early warning for a follower falling behind; how reads are
-// routed, scatter latency and failover counts describe what clients
-// experience through the router.
+// operator's early warning for a follower falling behind; routed reads,
+// retries and failover counts describe what clients experience through
+// the router.
 
 package fleet
 
@@ -28,13 +28,8 @@ var (
 		"Failed follower sync cycles (fetch, mirror, or apply).")
 
 	// Router tier.
-	routedReadsTotal = obs.Default().CounterVec("grafics_fleet_routed_reads_total",
-		"Reads the router routed: path=index sent to one group by the MAC index, path=scatter asked every group because the index holds none of the scan's MACs.", "path")
-	// Both children exist from init, so each exports at zero.
-	routedIndex    = routedReadsTotal.With("index")
-	routedScatter  = routedReadsTotal.With("scatter")
-	scatterSeconds = obs.Default().Histogram("grafics_fleet_scatter_seconds",
-		"Wall time of one read scatter across all groups.", obs.TimeBuckets)
+	routedReadsTotal = obs.Default().Counter("grafics_fleet_routed_reads_total",
+		"Reads the router sent to the one group its MAC index picks.")
 	breakerStateGauge = obs.Default().GaugeVec("grafics_fleet_breaker_state",
 		"Per-peer circuit breaker state: 0 closed, 2 open.", "peer")
 	breakerOpensTotal = obs.Default().Counter("grafics_fleet_breaker_opens_total",

@@ -70,7 +70,7 @@ func TestFollowerBootstrapAndTail(t *testing.T) {
 	}
 
 	// Primary repl status advertises the building and its segments.
-	st, err := NewClient(pSrv.URL, 0).Status(ctx)
+	st, err := NewClientWith(pSrv.URL, 0, nil).Status(ctx)
 	if err != nil {
 		t.Fatalf("primary status: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestPromoteFollower(t *testing.T) {
 	if !sys.HasMAC(mac) {
 		t.Fatalf("promoted primary did not absorb %s", mac)
 	}
-	st, err := NewClient(fSrv.URL, 0).Status(ctx)
+	st, err := NewClientWith(fSrv.URL, 0, nil).Status(ctx)
 	if err != nil || st.Role != string(RolePrimary) {
 		t.Fatalf("promoted repl status: %+v, err %v", st, err)
 	}

@@ -49,7 +49,7 @@ type RouterOptions struct {
 	// defaultBreakerThreshold.
 	BreakerThreshold int
 	// Transport substitutes the HTTP transport for every outbound call
-	// (forwards, scatters, health polls). Nil means a clone of
+	// (forwards, health polls). Nil means a clone of
 	// http.DefaultTransport that keeps routerIdleConnsPerHost idle
 	// connections per node; chaos tests inject fault.Transport here.
 	Transport http.RoundTripper
@@ -143,7 +143,7 @@ type Router struct {
 	// grafics:guardedby mu
 	macs map[string]memberMACs
 	// sources is the member whose report each group's slice of index
-	// was built from.
+	// was built from, "" for a group none of whose members has reported.
 	//
 	// grafics:guardedby mu
 	sources []string
@@ -228,6 +228,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		lastFailover: make(map[int]time.Time),
 		breakers:     make(map[string]*breaker),
 		macs:         make(map[string]memberMACs),
+		sources:      make([]string, len(opts.Groups)),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -356,9 +357,8 @@ func (rt *Router) pollAll(ctx context.Context) {
 	rt.refreshIndex(changed)
 }
 
-// refreshIndex rebuilds the routing index from each group's index
-// source's last MAC-set report when a report changed or a group's source
-// did. A building two groups report is routed to the lower one.
+// refreshIndex rebuilds the routing index when a MAC-set report changed
+// or a group's index source did.
 func (rt *Router) refreshIndex(changed bool) {
 	sources := make([]string, len(rt.groups))
 	for gi := range rt.groups {
@@ -369,9 +369,19 @@ func (rt *Router) refreshIndex(changed bool) {
 	if !changed && slices.Equal(sources, rt.sources) {
 		return
 	}
+	rt.sources = sources
+	rt.publishIndexLocked()
+}
+
+// publishIndexLocked builds the routing index from each group's index
+// source's last MAC-set report and publishes it. A building two groups
+// report is routed to the lower one.
+//
+//grafics:locked mu
+func (rt *Router) publishIndexLocked() {
 	idx := portfolio.NewMACIndex()
 	claimed := make(map[string]bool)
-	for gi, u := range sources {
+	for gi, u := range rt.sources {
 		for building, macs := range rt.macs[u].sets {
 			if !claimed[building] {
 				claimed[building] = true
@@ -379,7 +389,6 @@ func (rt *Router) refreshIndex(changed bool) {
 			}
 		}
 	}
-	rt.sources = sources
 	rt.index.Store(idx)
 }
 
@@ -663,41 +672,16 @@ func (rt *Router) forward(ctx context.Context, method, url, path string, body []
 	return reply{status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}, nil
 }
 
-// scatterOutcome is one group's answer to a classify.
-type scatterOutcome struct {
-	group int
-	reply
-	parsed *server.ClassifyResponse // a scattered 200's reply, for its overlap
-	err    error
-}
-
-// scatterClassify sends a read-only classify to one read node per group
-// and returns the outcomes. The caller picks a winner by overlap.
-func (rt *Router) scatterClassify(ctx context.Context, body []byte) []scatterOutcome {
-	spanDone := obs.StartSpan(ctx, "scatter")
-	defer spanDone()
-	start := time.Now()
-	defer func() { scatterSeconds.Observe(time.Since(start).Seconds()) }()
-	out := make([]scatterOutcome, len(rt.groups))
-	_ = par.ForEachCtx(ctx, len(rt.groups), func(gi int) {
-		o := rt.readGroup(ctx, gi, body)
-		if o.status == http.StatusOK {
-			var cr server.ClassifyResponse
-			if err := json.Unmarshal(o.body, &cr); err == nil {
-				o.parsed = &cr
-			}
-		}
-		out[gi] = o
-	})
-	return out
-}
-
 // readGroup asks one member of group gi to classify, failing over to
 // the next replica (up to the retry budget) when the chosen member
 // errors or answers 5xx — a read should survive any single replica
-// dying between health polls.
-func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOutcome {
-	o := scatterOutcome{group: gi}
+// dying between health polls. An error means the group gave no answer
+// to relay.
+func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) (reply, error) {
+	var (
+		rep     reply
+		lastErr error
+	)
 	tried := make(map[string]bool)
 	attempts := rt.opts.RetryBudget + 1
 	if n := len(rt.groups[gi]); attempts > n {
@@ -712,95 +696,58 @@ func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) scatterOut
 		if attempt > 0 {
 			retriesTotal.With("read").Inc()
 		}
-		rep, err := rt.forward(ctx, http.MethodPost, url, "/v2/classify", body)
+		r, err := rt.forward(ctx, http.MethodPost, url, "/v2/classify", body)
 		if ctx.Err() == nil {
-			rt.noteOutcome(url, err == nil && rep.status < http.StatusInternalServerError)
+			rt.noteOutcome(url, err == nil && r.status < http.StatusInternalServerError)
 		}
 		if err != nil {
-			o.err = err
+			lastErr = err
 			if ctx.Err() != nil {
-				return o
+				return rep, lastErr
 			}
 			continue
 		}
-		o.reply, o.err = rep, nil
-		if rep.status >= http.StatusInternalServerError {
+		rep, lastErr = r, nil
+		if r.status >= http.StatusInternalServerError {
 			// The replica answered but can't serve; another may.
 			continue
 		}
-		return o
+		return rep, nil
 	}
-	if o.status == 0 && o.err == nil {
-		o.err = fmt.Errorf("fleet: group %d has no serving member", gi)
+	if rep.status == 0 && lastErr == nil {
+		lastErr = fmt.Errorf("fleet: group %d has no serving member", gi)
 	}
-	return o
-}
-
-// bestOutcome picks the scattered answer to give: the 200 with the
-// highest MAC overlap (the lowest group on equal overlap), else the
-// lowest group's failure. A 422 means "no building of mine matches" and
-// is skipped, so nil means no group attributes the scan.
-func bestOutcome(outcomes []scatterOutcome) *scatterOutcome {
-	var best, firstErr *scatterOutcome
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.parsed != nil {
-			if best == nil || o.parsed.Overlap > best.parsed.Overlap {
-				best = o
-			}
-			continue
-		}
-		if o.status == http.StatusUnprocessableEntity {
-			continue
-		}
-		if firstErr == nil && (o.err != nil || o.status != http.StatusOK) {
-			firstErr = o
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return firstErr
+	return rep, lastErr
 }
 
 // ClassifyRouted routes one scan as a node would classify it. The
 // index names the group holding the scan's building: a read goes to one
-// of its members, an absorb to its primary. Only a scan whose MACs no
-// group has reported is scattered — a read to every group, an absorb to
-// locate its owner first. A node's 200 is decoded into the Routed it
-// reports; any other answer, and a group that gave none, is a
-// *server.StatusError, which the HTTP surface answers with unchanged.
+// of its members, an absorb to its primary. A node's 200 is decoded into
+// the Routed it reports; any other answer, and a group that gave none, is
+// a *server.StatusError, which the HTTP surface answers with unchanged.
+// A scan the index cannot route takes no hop (see unrouted), and an
+// absorb's new MACs route at once (see learn).
 func (rt *Router) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts ...core.Option) (portfolio.Routed, error) {
+	gi, ok := rt.index.Load().Route(rec.Readings)
+	if !ok {
+		return portfolio.Routed{}, rt.unrouted()
+	}
 	req := core.NewRequest(rec, opts...)
-	// One body serves every hop: an absorb goes to /v2/absorb, which
+	// One body serves both paths: an absorb goes to /v2/absorb, which
 	// absorbs without the field.
 	body, err := json.Marshal(&server.ClassifyRequest{ID: rec.ID, Readings: rec.Readings, TopK: req.TopK()})
 	if err != nil {
 		return portfolio.Routed{}, err
 	}
-	gi, ok := rt.index.Load().Route(rec.Readings)
-	if !ok {
-		if !req.Absorb() {
-			routedScatter.Inc()
-			return bestOutcome(rt.scatterClassify(ctx, body)).result()
-		}
-		// An absorb goes to the group a read-only scatter attributes it
-		// to; a single-group fleet skips the extra round trip.
-		gi = 0
-		if len(rt.groups) > 1 {
-			o := bestOutcome(rt.scatterClassify(ctx, body))
-			if o == nil || o.parsed == nil {
-				return o.result()
-			}
-			gi = o.group
-		}
-	}
 	spanDone := obs.StartSpan(ctx, "forward")
 	if !req.Absorb() {
-		routedIndex.Inc()
-		o := rt.readGroup(ctx, gi, body)
+		routedReadsTotal.Inc()
+		rep, err := rt.readGroup(ctx, gi, body)
 		spanDone()
-		return o.result()
+		if err != nil {
+			return portfolio.Routed{}, &server.StatusError{Status: http.StatusBadGateway, Msg: err.Error()}
+		}
+		return rep.result()
 	}
 	rep, err := rt.forwardWrite(ctx, gi, "/v2/absorb", body)
 	spanDone()
@@ -808,22 +755,52 @@ func (rt *Router) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts 
 		return portfolio.Routed{}, &server.StatusError{Status: http.StatusBadGateway, Msg: "fleet: forward absorb: " + err.Error()}
 	}
 	forwardedWritesTotal.Inc()
-	return rep.result()
+	routed, err := rep.result()
+	if err == nil {
+		rt.learn(gi, routed.Building, rec.Readings)
+	}
+	return routed, err
 }
 
-// result is a group's answer as ClassifyRouted returns it: a 502 when
-// the group gave none, and a 422 for nil, when no group attributes the
-// scan.
-func (o *scatterOutcome) result() (portfolio.Routed, error) {
-	switch {
-	case o == nil:
-		return portfolio.Routed{}, &server.StatusError{Status: http.StatusUnprocessableEntity, Msg: "fleet: no group attributes this scan"}
-	case o.err != nil:
-		return portfolio.Routed{}, &server.StatusError{Status: http.StatusBadGateway, Msg: o.err.Error()}
-	case o.parsed != nil:
-		return o.parsed.Routed(), nil
+// unrouted answers a scan none of whose MACs the index holds: a 422 once
+// every group has reported its MAC sets, and until then a 502 naming the
+// first group that has not, since the scan may be that group's.
+func (rt *Router) unrouted() error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for gi, src := range rt.sources {
+		if src == "" {
+			return &server.StatusError{Status: http.StatusBadGateway, Msg: fmt.Sprintf("fleet: group %d has not reported its MAC sets", gi)}
+		}
 	}
-	return o.reply.result()
+	return &server.StatusError{Status: http.StatusUnprocessableEntity, Msg: "fleet: no group attributes this scan"}
+}
+
+// learn adds an absorbed scan's MACs to building's set in group gi's last
+// report and, when one of them was new, publishes a rebuilt index, so a
+// later scan of only those MACs routes before the next poll. The node
+// registers every MAC of an absorb it accepts, so the source's next
+// report, which replaces the grown set, holds them too. A report's sets
+// are sorted (MACIndex.Sets), and stay so here.
+func (rt *Router) learn(gi int, building string, readings []dataset.Reading) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	sets := rt.macs[rt.sources[gi]].sets
+	macs, ok := sets[building]
+	if !ok {
+		return
+	}
+	n := len(macs)
+	for _, rd := range readings {
+		if i, found := slices.BinarySearch(macs, rd.MAC); !found {
+			macs = slices.Insert(macs, i, rd.MAC)
+		}
+	}
+	if len(macs) == n {
+		return
+	}
+	sets[building] = macs
+	rt.publishIndexLocked()
 }
 
 // result decodes a node's classify answer: a 200 into the Routed it

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -199,7 +198,30 @@ func scanOf(id string, macs ...[]string) dataset.Record {
 	return rec
 }
 
-func TestRouterScatterAndWriteForwarding(t *testing.T) {
+// askEveryNode is the routing oracle: it posts scan to every group's node
+// and keeps the 200 with the highest overlap (the lowest group on equal
+// overlap), else the lowest group's answer that is not a 422, else a
+// 422. It returns the kept answer's group (-1 for none), status and
+// building.
+func (f *shardFleet) askEveryNode(t *testing.T, scan *dataset.Record) (group, status int, building string) {
+	t.Helper()
+	group, status = -1, http.StatusUnprocessableEntity
+	best := -1.0
+	for g, u := range f.urls {
+		code, body := postClassify(t, u, "/v2/classify", scan, false)
+		overlap, _ := body["overlap"].(float64)
+		switch {
+		case code == http.StatusOK && overlap > best:
+			group, status, best = g, code, overlap
+			building, _ = body["building"].(string)
+		case code != http.StatusOK && code != http.StatusUnprocessableEntity && group < 0:
+			group, status = g, code
+		}
+	}
+	return group, status, building
+}
+
+func TestRouterForwardsReadsAndWrites(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f := newShardFleet(t, ctx, 1)
@@ -238,11 +260,13 @@ func TestRouterScatterAndWriteForwarding(t *testing.T) {
 		t.Fatal("absorb leaked to a non-owning shard")
 	}
 
-	// A scan no shard can attribute is a 422.
+	// A scan no shard can attribute is a 422 that reaches no node.
 	junk := dataset.Record{ID: "junk", Readings: []dataset.Reading{{MAC: "de:ad:be:ef:00:01", RSS: -40}}}
+	before := f.hitCounts()
 	if status, _ := postClassify(t, f.srv.URL, "/v2/classify", &junk, false); status != http.StatusUnprocessableEntity {
 		t.Fatalf("unattributable scan: status %d, want 422", status)
 	}
+	f.wantHops(t, "unattributable scan", before)
 }
 
 // TestRouterReadAndAbsorbTakeOneHop counts the requests each node sees:
@@ -256,15 +280,14 @@ func TestRouterReadAndAbsorbTakeOneHop(t *testing.T) {
 	read := f.pools[0][0]
 	read.Readings = append(slices.Clone(read.Readings), scanOf("", f.macs(t, 1, 2)).Readings...)
 	before := f.hitCounts()
-	index, scatter := routedIndex.Load(), routedScatter.Load()
+	routed := routedReadsTotal.Load()
 	status, body := postClassify(t, f.srv.URL, "/v2/classify", &read, false)
 	if got, _ := body["building"].(string); status != http.StatusOK || got != f.names[0] {
 		t.Fatalf("read: status %d body %v, want 200 from %s", status, body, f.names[0])
 	}
 	f.wantHops(t, "read", before, 0)
-	if routedIndex.Load() != index+1 || routedScatter.Load() != scatter {
-		t.Errorf("routed reads: index +%d, scatter +%d; want +1, +0",
-			routedIndex.Load()-index, routedScatter.Load()-scatter)
+	if got := routedReadsTotal.Load() - routed; got != 1 {
+		t.Errorf("routed reads: +%d, want +1", got)
 	}
 
 	absorb, _ := uniqueScan(f.pools[1][2], 11)
@@ -329,10 +352,12 @@ func TestRouterAnswersAsTheNode(t *testing.T) {
 	}
 }
 
-// TestRouterIndexMatchesScatter is the routing differential: for every
-// kind of scan the index must pick the status and building that asking
-// every group and keeping the best answer picks.
-func TestRouterIndexMatchesScatter(t *testing.T) {
+// TestRouterIndexMatchesNodes is the routing differential: for every
+// kind of scan the router must answer with the status and building that
+// asking every group's node and keeping the best answer gives, in one
+// hop to that answer's group, or in none when no group attributes the
+// scan.
+func TestRouterIndexMatchesNodes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f := newShardFleet(t, ctx, 2) // buildings 0, 1 in group 0; 2, 3 in group 1
@@ -358,18 +383,14 @@ func TestRouterIndexMatchesScatter(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body, err := json.Marshal(map[string]any{"id": tc.scan.ID, "readings": tc.scan.Readings})
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaScatter, err := bestOutcome(f.router.scatterClassify(ctx, body)).result()
-			scatterCode := statusOf(t, err)
-
+			group, nodeStatus, nodeBuilding := f.askEveryNode(t, &tc.scan)
+			before := f.hitCounts()
 			status, viaIndex := postClassify(t, f.srv.URL, "/v2/classify", &tc.scan, false)
 			got, _ := viaIndex["building"].(string)
-			if status != scatterCode || got != viaScatter.Building {
-				t.Fatalf("index: %d %q; scatter: %d %q", status, got, scatterCode, viaScatter.Building)
+			if status != nodeStatus || got != nodeBuilding {
+				t.Fatalf("router: %d %q; nodes: %d %q", status, got, nodeStatus, nodeBuilding)
 			}
+			f.wantHops(t, tc.name, before, group)
 			if status != tc.wantStatus || got != tc.want {
 				t.Fatalf("status %d building %q, want %d %q (body %v)", status, got, tc.wantStatus, tc.want, viaIndex)
 			}
@@ -387,20 +408,6 @@ func TestRouterIndexMatchesScatter(t *testing.T) {
 	if status, body := postClassify(t, f.srv.URL, "/v2/classify", &scan, false); status != http.StatusBadGateway {
 		t.Fatalf("owning group drained: status %d body %v, want 502", status, body)
 	}
-}
-
-// statusOf is the status the HTTP surface answers a ClassifyRouted
-// error with, 200 for none: every error the router returns carries it.
-func statusOf(t *testing.T, err error) int {
-	t.Helper()
-	if err == nil {
-		return http.StatusOK
-	}
-	var se *server.StatusError
-	if !errors.As(err, &se) {
-		t.Fatalf("router error %v carries no status", err)
-	}
-	return se.Status
 }
 
 // TestRouterIndexesGroupWithoutPrimary boots a router while one group's
@@ -469,7 +476,7 @@ func TestRouterMACPollsCarryOnlyChanges(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f := newShardFleet(t, ctx, 1)
-	c := NewClient(f.urls[1], 0)
+	c := NewClientWith(f.urls[1], 0, nil)
 
 	full, err := c.StatusMACs(ctx, 0)
 	if err != nil {
@@ -511,6 +518,68 @@ func TestRouterMACPollsCarryOnlyChanges(t *testing.T) {
 		t.Fatalf("scan of the new MAC: status %d body %v, want 200 from %s", status, body, f.names[1])
 	}
 	f.wantHops(t, "scan of the new MAC", before, 1)
+}
+
+// TestRouterRoutesAbsorbedMACsBeforeNextPoll: a routed absorb teaches
+// the router its new MACs, so a scan of only those MACs reaches the
+// owning group in one hop with no poll in between.
+func TestRouterRoutesAbsorbedMACsBeforeNextPoll(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+	f.router.Stop() // no poll runs from here on; the router keeps serving
+
+	rec, mac := uniqueScan(f.pools[1][1], 4)
+	if status, body := postClassify(t, f.srv.URL, "/v2/absorb", &rec, true); status != http.StatusOK {
+		t.Fatalf("routed absorb: status %d body %v", status, body)
+	}
+	only := scanOf("new-mac-only", []string{mac})
+	before := f.hitCounts()
+	status, body := postClassify(t, f.srv.URL, "/v2/classify", &only, false)
+	if got, _ := body["building"].(string); status != http.StatusOK || got != f.names[1] {
+		t.Fatalf("scan of the new MAC: status %d body %v, want 200 from %s", status, body, f.names[1])
+	}
+	f.wantHops(t, "scan of the new MAC", before, 1)
+}
+
+// writeStubStatus answers a status poll as a primary whose one building
+// "b" holds one MAC, aa:bb:cc:dd:ee:01.
+func writeStubStatus(w http.ResponseWriter) {
+	json.NewEncoder(w).Encode(ReplStatus{
+		ReplInfo:    server.ReplInfo{Role: string(RolePrimary), Ready: true},
+		MACsVersion: 1,
+		MACs:        map[string][]string{"b": {"aa:bb:cc:dd:ee:01"}},
+	})
+}
+
+// TestRouterSilentGroupIs502: while a group has never reported its MAC
+// sets, a scan the index cannot route may be that group's, so it is a
+// 502, not a 422.
+func TestRouterSilentGroupIs502(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v2/repl/status" {
+			w.WriteHeader(http.StatusUnprocessableEntity) // as a node refuses an alien scan
+			return
+		}
+		writeStubStatus(w)
+	}))
+	defer node.Close()
+	silent := httptest.NewServer(http.NotFoundHandler())
+	silent.Close()
+	rt, err := NewRouter(RouterOptions{Groups: [][]string{{node.URL}, {silent.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt.Start(ctx)
+	defer rt.Stop()
+	srv := httptest.NewServer(rt)
+	defer srv.Close()
+	alien := scanOf("alien", []string{"de:ad:00:00:00:01"})
+	if status, body := postClassify(t, srv.URL, "/v2/classify", &alien, false); status != http.StatusBadGateway {
+		t.Fatalf("alien scan with group 1 silent: status %d body %v, want 502", status, body)
+	}
 }
 
 // TestRouterReusesNodeConnections: the router keeps an idle connection
@@ -875,7 +944,7 @@ func TestRouterAdminQueries(t *testing.T) {
 func TestRouterRelaysRetryAfter(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v2/repl/status" {
-			json.NewEncoder(w).Encode(ReplStatus{ReplInfo: server.ReplInfo{Role: string(RolePrimary), Ready: true}})
+			writeStubStatus(w)
 			return
 		}
 		w.Header().Set("Retry-After", "7")

@@ -85,17 +85,6 @@ func (s *Source) ackedCount(epoch string, pos wal.Position) (int, <-chan struct{
 	return n, ch
 }
 
-// Acks snapshots the per-follower watermark table.
-func (s *Source) Acks() map[string]followerAck {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]followerAck, len(s.acks))
-	for id, a := range s.acks {
-		out[id] = a
-	}
-	return out
-}
-
 // WaitReplicated blocks until minAcks followers have durably mirrored
 // pos under epoch, the context is cancelled, or the timeout elapses.
 // minAcks <= 0 means asynchronous replication and returns immediately.

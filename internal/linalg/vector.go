@@ -119,6 +119,3 @@ func Clone(x []float64) []float64 {
 	copy(out, x)
 	return out
 }
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }

@@ -3,7 +3,7 @@
 // context.Context, and propagated across fleet hops (router → primary,
 // router → follower) via the X-Grafics-Trace header, so one client
 // request correlates across every node it fans out to. Spans are coarse
-// named timings (journal, scatter, classify) attached along the way and
+// named timings (journal, forward, classify) attached along the way and
 // emitted with the structured request log — not a distributed tracing
 // system, just enough to answer "where did this request spend its time".
 
