@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -42,15 +44,28 @@ func NewClientWith(base string, timeout time.Duration, rt http.RoundTripper) *Cl
 // Base returns the node URL this client targets.
 func (c *Client) Base() string { return c.base }
 
-// do issues one request under the client's per-request deadline. The
-// deadline covers the body too: the returned response's Close releases
-// the timer, and a stalled body read is cancelled with the request.
-func (c *Client) do(ctx context.Context, method, path string) (*http.Response, error) {
+// do issues one request, with body as its JSON payload unless body is
+// nil, under the client's per-request deadline. The deadline covers the
+// response body too: the returned response's Close releases the timer,
+// and a stalled body read is cancelled with the request.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
 	rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
-	req, err := http.NewRequestWithContext(rctx, method, c.base+path, nil)
+	req, err := http.NewRequestWithContext(rctx, method, c.base+path, rd)
 	if err != nil {
 		cancel()
 		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	// Carry the caller's trace across the hop so the node's logs join up
+	// with the caller's.
+	if id := obs.TraceID(ctx); id != "" {
+		req.Header.Set(obs.TraceHeader, id)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -74,14 +89,6 @@ func (b *cancelOnClose) Close() error {
 	return err
 }
 
-func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
-	return c.do(ctx, http.MethodGet, path)
-}
-
-func (c *Client) post(ctx context.Context, path string) (*http.Response, error) {
-	return c.do(ctx, http.MethodPost, path)
-}
-
 // drainError turns a non-2xx response into an error carrying the body.
 func drainError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -101,7 +108,7 @@ func (c *Client) StatusMACs(ctx context.Context, since uint64) (ReplStatus, erro
 }
 
 func (c *Client) status(ctx context.Context, path string) (ReplStatus, error) {
-	resp, err := c.get(ctx, path)
+	resp, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return ReplStatus{}, err
 	}
@@ -149,7 +156,7 @@ func (c *Client) FetchWAL(ctx context.Context, epoch string, pos wal.Position, a
 		q.Set("ackseg", strconv.Itoa(ack.Pos.Seg))
 		q.Set("ackoff", strconv.FormatInt(ack.Pos.Off, 10))
 	}
-	resp, err := c.get(ctx, "/v2/repl/wal?"+q.Encode())
+	resp, err := c.do(ctx, http.MethodGet, "/v2/repl/wal?"+q.Encode(), nil)
 	if err != nil {
 		return WALChunk{}, err
 	}
@@ -179,7 +186,7 @@ func (c *Client) FetchWAL(ctx context.Context, epoch string, pos wal.Position, a
 // Snapshot streams GET /v2/repl/snapshot into destDir and returns the
 // WAL epoch and position the snapshot covers.
 func (c *Client) Snapshot(ctx context.Context, destDir string) (epoch string, pos wal.Position, err error) {
-	resp, err := c.get(ctx, "/v2/repl/snapshot")
+	resp, err := c.do(ctx, http.MethodGet, "/v2/repl/snapshot", nil)
 	if err != nil {
 		return "", wal.Position{}, err
 	}
@@ -200,8 +207,12 @@ func (c *Client) Snapshot(ctx context.Context, destDir string) (epoch string, po
 }
 
 // Promote asks a node to take over as primary (POST /v2/admin/promote).
+// A promotion drains the node's mirror and audits what it applied, so it
+// is allowed two minutes rather than one request's deadline.
 func (c *Client) Promote(ctx context.Context) (PromoteResult, error) {
-	resp, err := c.post(ctx, "/v2/admin/promote")
+	long := *c
+	long.reqTimeout = 2 * time.Minute
+	resp, err := long.do(ctx, http.MethodPost, "/v2/admin/promote", nil)
 	if err != nil {
 		return PromoteResult{}, err
 	}
@@ -220,7 +231,7 @@ func (c *Client) Promote(ctx context.Context) (PromoteResult, error) {
 func (c *Client) Follow(ctx context.Context, primary string) error {
 	q := url.Values{}
 	q.Set("primary", primary)
-	resp, err := c.post(ctx, "/v2/admin/follow?"+q.Encode())
+	resp, err := c.do(ctx, http.MethodPost, "/v2/admin/follow?"+q.Encode(), nil)
 	if err != nil {
 		return err
 	}

@@ -45,8 +45,6 @@ func TestKillPrimaryFailover(t *testing.T) {
 	router, err := NewRouter(RouterOptions{
 		Groups:         [][]string{{pSrv.URL, f1Srv.URL, f2Srv.URL}},
 		HealthInterval: 100 * time.Millisecond,
-		FailThreshold:  3,
-		HTTPTimeout:    2 * time.Second,
 		Logf:           t.Logf,
 	})
 	if err != nil {

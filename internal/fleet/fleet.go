@@ -128,7 +128,6 @@ const (
 	defaultHTTPTimeout    = 10 * time.Second
 	defaultHealthInterval = time.Second
 	defaultLagBound       = int64(1 << 20)
-	defaultFailThreshold  = 3
 	// defaultRetryBudget caps exponential backoff at base×2^budget and
 	// bounds the retry attempts a routed write spends before giving up.
 	defaultRetryBudget = 3

@@ -1,12 +1,12 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -34,26 +34,17 @@ type RouterOptions struct {
 	Groups [][]string
 	// HealthInterval is the status poll cadence (default 1s).
 	HealthInterval time.Duration
-	// FailThreshold is how many consecutive failed polls mark a member
-	// down (default 3).
-	FailThreshold int
-	// HTTPTimeout bounds each forwarded or health request.
-	HTTPTimeout time.Duration
 	// RetryBudget bounds the retry attempts (with jittered exponential
 	// backoff) a forwarded write spends on retryable failures, and the
 	// extra replicas a read fails over to. Default defaultRetryBudget.
 	RetryBudget int
 	// BreakerThreshold opens a member's circuit breaker after this many
-	// consecutive failures; an open member serves no reads until a
-	// health poll or request to it succeeds. Default
-	// defaultBreakerThreshold.
+	// consecutive failed polls and forwards; an open member serves no
+	// reads until a health poll or request to it succeeds. The breaker
+	// only sheds reads: failover follows three consecutive failed status
+	// polls. Default defaultBreakerThreshold.
 	BreakerThreshold int
-	// Transport substitutes the HTTP transport for every outbound call
-	// (forwards, health polls). Nil means a clone of
-	// http.DefaultTransport that keeps routerIdleConnsPerHost idle
-	// connections per node; chaos tests inject fault.Transport here.
-	Transport http.RoundTripper
-	Logf      func(string, ...any)
+	Logf             func(string, ...any)
 }
 
 // MemberState is one node's last observed replication state, as reported
@@ -92,12 +83,16 @@ type FleetStatus struct {
 	Groups  []GroupStatus `json:"groups"`
 }
 
-// routerIdleConnsPerHost is how many idle connections the default router
+// routerIdleConnsPerHost is how many idle connections the router's
 // transport keeps per node: http.DefaultTransport's whole pool
 // (MaxIdleConns) rather than its 2 per host, which made every burst of
 // more than 2 concurrent forwards to a node close the surplus
 // connections and dial them again on the next burst.
 const routerIdleConnsPerHost = 100
+
+// failoverPolls is how many consecutive failed status polls mark a
+// member down; a primary down that long is failed over.
+const failoverPolls = 3
 
 // failoverCooldownTicks is how long a group waits between promotion
 // attempts, in health intervals.
@@ -116,37 +111,34 @@ const forwardRetryBase = 100 * time.Millisecond
 // server.Catalog, so it serves the node's own HTTP surface
 // (server.NewHandler) beside the /v2/admin/fleet routes.
 type Router struct {
-	opts   RouterOptions
-	groups [][]string
-	hc     *http.Client
-	logf   func(string, ...any)
-	mux    *http.ServeMux
-	rr     atomic.Uint64
+	opts RouterOptions
+	// members is every configured node in configuration order, and
+	// groups the same members by shard group; NewRouter fixes both.
+	members   []*member
+	groups    [][]*member
+	transport *http.Transport // shared by every member's client
+	logf      func(string, ...any)
+	mux       *http.ServeMux
+	rr        atomic.Uint64
 
-	// index attributes scans across the fleet. pollAll rebuilds it from
-	// the MAC sets each group's index source reports (see indexSource)
-	// and publishes it whole; reads load it without a lock and never
-	// mutate it.
+	// index attributes scans across the fleet. refreshIndex builds it
+	// from the report of each group's index source and publishes it
+	// whole; reads load it without a lock and never mutate it.
 	index atomic.Pointer[portfolio.MACIndex]
+	// build serializes index builds, so the index published last was
+	// built from the newest reports. No read takes it.
+	build sync.Mutex
 
 	mu sync.Mutex
-	// grafics:guardedby mu
-	state map[string]MemberState
-	// grafics:guardedby mu
-	drained map[string]bool
-	// grafics:guardedby mu
-	lastFailover map[int]time.Time
-	// grafics:guardedby mu
-	breakers map[string]*breaker
-	// macs is every member's last MAC-set report.
+	// sources is what each group's part of the index was last built
+	// from.
 	//
 	// grafics:guardedby mu
-	macs map[string]memberMACs
-	// sources is the member whose report each group's slice of index
-	// was built from, "" for a group none of whose members has reported.
+	sources []source
+	// lastFailover is each group's last promotion attempt.
 	//
 	// grafics:guardedby mu
-	sources []string
+	lastFailover []time.Time
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -198,9 +190,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if len(opts.Groups) == 0 {
 		return nil, errors.New("fleet: router requires at least one group")
 	}
-	if opts.FailThreshold <= 0 {
-		opts.FailThreshold = defaultFailThreshold
-	}
 	if opts.RetryBudget <= 0 {
 		opts.RetryBudget = defaultRetryBudget
 	}
@@ -208,29 +197,28 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		opts.BreakerThreshold = defaultBreakerThreshold
 	}
 	opts.HealthInterval = nonZero(opts.HealthInterval, defaultHealthInterval)
-	opts.HTTPTimeout = nonZero(opts.HTTPTimeout, defaultHTTPTimeout)
-	if opts.Transport == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = routerIdleConnsPerHost
-		opts.Transport = t
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = nopLogf
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = routerIdleConnsPerHost
 	rt := &Router{
 		opts:         opts,
-		groups:       opts.Groups,
-		hc:           &http.Client{Timeout: opts.HTTPTimeout, Transport: opts.Transport},
+		transport:    tr,
 		logf:         logf,
-		state:        make(map[string]MemberState),
-		drained:      make(map[string]bool),
-		lastFailover: make(map[int]time.Time),
-		breakers:     make(map[string]*breaker),
-		macs:         make(map[string]memberMACs),
-		sources:      make([]string, len(opts.Groups)),
+		sources:      make([]source, len(opts.Groups)),
+		lastFailover: make([]time.Time, len(opts.Groups)),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
+	}
+	for gi, urls := range opts.Groups {
+		var group []*member
+		for _, u := range urls {
+			group = append(group, &member{url: u, group: gi, client: NewClientWith(u, 0, tr), state: MemberState{URL: u, Group: gi}})
+		}
+		rt.groups = append(rt.groups, group)
+		rt.members = append(rt.members, group...)
 	}
 	rt.index.Store(portfolio.NewMACIndex())
 	mux := http.NewServeMux()
@@ -265,7 +253,7 @@ func (rt *Router) Stop() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.startOnce.Do(func() { close(rt.done) })
 	<-rt.done
-	rt.hc.CloseIdleConnections()
+	rt.transport.CloseIdleConnections()
 }
 
 func (rt *Router) loop(ctx context.Context) {
@@ -288,108 +276,165 @@ func (rt *Router) loop(ctx context.Context) {
 	}
 }
 
-// breakerFor returns (lazily creating) the circuit breaker for url.
-func (rt *Router) breakerFor(url string) *breaker {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	b, ok := rt.breakers[url]
-	if !ok {
-		b = newBreaker(rt.opts.BreakerThreshold)
-		rt.breakers[url] = b
-	}
-	return b
+// member is one configured node: its URL, group and client, which
+// NewRouter fixes, and what the router last learned of it, under the
+// member's own mutex.
+type member struct {
+	url    string
+	group  int
+	client *Client
+
+	mu sync.Mutex
+	// state is the node's last observed state. Its Drained flag is the
+	// router's own, set by /v2/admin/fleet/drain.
+	//
+	// grafics:guardedby mu
+	state MemberState
+	// fails counts consecutive failed polls and forwards: the member's
+	// circuit breaker, open at BreakerThreshold.
+	//
+	// grafics:guardedby mu
+	fails int
+	// macs is the node's last MAC-set report, nil before its first.
+	//
+	// grafics:guardedby mu
+	macs *memberMACs
 }
 
-// noteOutcome feeds one request or poll outcome into url's breaker and
-// keeps the exported gauge and transition counter in step.
-func (rt *Router) noteOutcome(url string, ok bool) {
-	b := rt.breakerFor(url)
-	prev := b.current()
-	st := b.record(ok)
-	breakerStateGauge.With(url).SetInt(int64(st))
-	if st == breakerOpen && prev != breakerOpen {
-		breakerOpensTotal.Inc()
-		rt.logf("fleet: router: circuit for %s opened after %d consecutive failures", url, rt.opts.BreakerThreshold)
-	}
-	if st == breakerClosed && prev != breakerClosed {
-		rt.logf("fleet: router: circuit for %s closed", url)
-	}
-}
-
-// memberMACs is one member's report of its attribution index.
+// memberMACs is one member's report of its attribution index. A stored
+// report is never changed (learn stores a grown copy), so an index build
+// reads it with no lock held.
 type memberMACs struct {
 	version uint64
-	sets    map[string][]string // building → MACs
+	sets    map[string][]string // building → MACs, each sorted
+}
+
+// source is the member a group's part of the index is built from and
+// the report it was built from; the zero value for a group none of
+// whose members has reported.
+type source struct {
+	m   *member
+	rep *memberMACs
+}
+
+// view returns m's last observed state with its breaker's.
+func (rt *Router) view(m *member) MemberState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ms := m.state
+	ms.Breaker = "closed"
+	if m.fails >= rt.opts.BreakerThreshold {
+		ms.Breaker = "open"
+	}
+	return ms
+}
+
+// noteOutcome feeds one forward or poll outcome into m's breaker and
+// keeps the exported gauge and transition counter in step. An open
+// breaker sheds m's reads; health polls keep probing it, and the next
+// success closes it.
+func (rt *Router) noteOutcome(m *member, ok bool) {
+	m.mu.Lock()
+	wasOpen := m.fails >= rt.opts.BreakerThreshold
+	if ok {
+		m.fails = 0
+	} else {
+		m.fails++
+	}
+	open := m.fails >= rt.opts.BreakerThreshold
+	m.mu.Unlock()
+	gauge := int64(0) // closed
+	if open {
+		gauge = 2
+	}
+	breakerStateGauge.With(m.url).SetInt(gauge)
+	switch {
+	case open && !wasOpen:
+		breakerOpensTotal.Inc()
+		rt.logf("fleet: router: circuit for %s opened after %d consecutive failures", m.url, rt.opts.BreakerThreshold)
+	case wasOpen && !open:
+		rt.logf("fleet: router: circuit for %s closed", m.url)
+	}
 }
 
 // pollAll refreshes every member's observed state in parallel, then the
-// routing index if a group's MAC sets or primary changed.
+// routing index.
 func (rt *Router) pollAll(ctx context.Context) {
-	type slot struct {
-		url   string
-		group int
-	}
-	var slots []slot
-	for gi, g := range rt.groups {
-		for _, u := range g {
-			slots = append(slots, slot{url: u, group: gi})
-		}
-	}
-	fresh := make([]MemberState, len(slots))
-	reports := make([]*memberMACs, len(slots))
-	_ = par.ForEachCtx(ctx, len(slots), func(i int) {
-		fresh[i], reports[i] = rt.pollMember(ctx, slots[i].url, slots[i].group)
-	})
-	changed := false
-	rt.mu.Lock()
-	for i, ms := range fresh {
-		if ms.URL == "" { // cancelled before this slot ran
-			continue
-		}
-		ms.Drained = rt.drained[ms.URL]
-		rt.state[ms.URL] = ms
-		if reports[i] != nil {
-			rt.macs[ms.URL] = *reports[i]
-			changed = true
-		}
-	}
-	rt.mu.Unlock()
-	rt.refreshIndex(changed)
+	_ = par.ForEachCtx(ctx, len(rt.members), func(i int) { rt.poll(ctx, rt.members[i]) })
+	rt.refreshIndex()
 }
 
-// refreshIndex rebuilds the routing index when a MAC-set report changed
-// or a group's index source did.
-func (rt *Router) refreshIndex(changed bool) {
-	sources := make([]string, len(rt.groups))
+// poll fetches one member's status together with its MAC sets, which
+// come back only when its index version moved.
+func (rt *Router) poll(ctx context.Context, m *member) {
+	m.mu.Lock()
+	ms := m.state
+	var since uint64 // no node's index has version 0
+	if m.macs != nil {
+		since = m.macs.version
+	}
+	m.mu.Unlock()
+	st, err := m.client.StatusMACs(ctx, since)
+	if ctx.Err() == nil {
+		rt.noteOutcome(m, err == nil)
+	}
+	if err != nil {
+		healthPollFailuresTotal.Inc()
+		ms.Failures++
+		ms.Healthy = ms.Failures < failoverPolls && ms.Role != ""
+		ms.LagBytes, ms.Ready, ms.Error = 0, false, err.Error()
+	} else {
+		ms = MemberState{
+			URL: m.url, Group: m.group, Role: st.Role, Primary: st.Primary, Epoch: st.Epoch,
+			Applied: st.Applied, Mirrored: st.Mirrored, LagBytes: st.LagBytes, Ready: st.Ready,
+			Healthy: true, Buildings: st.Buildings, LastSeen: time.Now(),
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ms.Drained = m.state.Drained
+	m.state = ms
+	if err == nil && st.MACsVersion != since {
+		m.macs = &memberMACs{version: st.MACsVersion, sets: st.MACs}
+	}
+}
+
+// refreshIndex rebuilds and publishes the routing index unless the
+// published one was built from the same reports of the same sources.
+// The build holds only rt.build, so reads go on meanwhile.
+func (rt *Router) refreshIndex() {
+	rt.build.Lock()
+	defer rt.build.Unlock()
+	srcs := make([]source, len(rt.groups))
 	for gi := range rt.groups {
-		sources[gi] = rt.indexSource(gi)
+		srcs[gi] = rt.indexSource(gi)
 	}
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !changed && slices.Equal(sources, rt.sources) {
-		return
+	same := slices.Equal(srcs, rt.sources)
+	rt.sources = srcs
+	rt.mu.Unlock()
+	if !same {
+		rt.index.Store(buildIndex(srcs))
 	}
-	rt.sources = sources
-	rt.publishIndexLocked()
 }
 
-// publishIndexLocked builds the routing index from each group's index
-// source's last MAC-set report and publishes it. A building two groups
-// report is routed to the lower one.
-//
-//grafics:locked mu
-func (rt *Router) publishIndexLocked() {
+// buildIndex builds a routing index from each group's source's report. A
+// building two groups report is routed to the lower one.
+func buildIndex(srcs []source) *portfolio.MACIndex {
 	idx := portfolio.NewMACIndex()
 	claimed := make(map[string]bool)
-	for gi, u := range rt.sources {
-		for building, macs := range rt.macs[u].sets {
+	for gi, src := range srcs {
+		if src.rep == nil {
+			continue
+		}
+		for building, macs := range src.rep.sets {
 			if !claimed[building] {
 				claimed[building] = true
 				idx.Set(building, gi, macs)
 			}
 		}
 	}
-	rt.index.Store(idx)
+	return idx
 }
 
 // indexSource names the member whose report group gi's part of the
@@ -397,99 +442,49 @@ func (rt *Router) publishIndexLocked() {
 // of no primary in the group — one that was already down when the router
 // started, say — it is the reporting member that has applied the most of
 // the group's log, since the group's reads are served from those
-// replicas meanwhile. "" means no member of the group has reported.
-func (rt *Router) indexSource(gi int) string {
-	primary, _ := rt.pickPrimary(gi)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.macs[primary]; ok {
-		return primary
-	}
-	src := ""
-	for _, u := range rt.groups[gi] {
-		if _, ok := rt.macs[u]; ok && (src == "" || rt.state[src].Applied.Less(rt.state[u].Applied)) {
-			src = u
+// replicas meanwhile.
+func (rt *Router) indexSource(gi int) source {
+	primary := rt.pickPrimary(gi)
+	var best source
+	var applied wal.Position
+	for _, m := range rt.groups[gi] {
+		m.mu.Lock()
+		rep, pos := m.macs, m.state.Applied
+		m.mu.Unlock()
+		switch {
+		case rep == nil:
+		case m == primary:
+			return source{m, rep}
+		case best.m == nil || applied.Less(pos):
+			best, applied = source{m, rep}, pos
 		}
 	}
-	return src
-}
-
-// macVersion returns the index version member url last reported, 0 if
-// none; no node's index has version 0.
-func (rt *Router) macVersion(url string) uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.macs[url].version
-}
-
-// pollMember fetches one member's status together with its MAC sets,
-// which come back only when its index version moved.
-func (rt *Router) pollMember(ctx context.Context, url string, group int) (MemberState, *memberMACs) {
-	prev, _ := rt.member(url)
-	ms := MemberState{URL: url, Group: group, LastSeen: time.Now()}
-	since := rt.macVersion(url)
-	st, err := NewClientWith(url, rt.opts.HTTPTimeout, rt.opts.Transport).StatusMACs(ctx, since)
-	if ctx.Err() == nil {
-		rt.noteOutcome(url, err == nil)
-	}
-	if err != nil {
-		healthPollFailuresTotal.Inc()
-		ms.Role = prev.Role
-		ms.Primary = prev.Primary
-		ms.Epoch = prev.Epoch
-		ms.Applied = prev.Applied
-		ms.Mirrored = prev.Mirrored
-		ms.Buildings = prev.Buildings
-		ms.Failures = prev.Failures + 1
-		ms.Healthy = ms.Failures < rt.opts.FailThreshold && prev.Role != ""
-		ms.Error = err.Error()
-		ms.LastSeen = prev.LastSeen
-		return ms, nil
-	}
-	ms.Role = st.Role
-	ms.Primary = st.Primary
-	ms.Epoch = st.Epoch
-	ms.Applied = st.Applied
-	ms.Mirrored = st.Mirrored
-	ms.LagBytes = st.LagBytes
-	ms.Ready = st.Ready
-	ms.Healthy = true
-	ms.Buildings = st.Buildings
-	if st.MACsVersion == since {
-		return ms, nil
-	}
-	return ms, &memberMACs{version: st.MACsVersion, sets: st.MACs}
-}
-
-func (rt *Router) member(url string) (MemberState, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	ms, ok := rt.state[url]
-	return ms, ok
+	return best
 }
 
 // groupStates snapshots one group's member states in config order.
 func (rt *Router) groupStates(gi int) []MemberState {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]MemberState, 0, len(rt.groups[gi]))
-	for _, u := range rt.groups[gi] {
-		ms, ok := rt.state[u]
-		if !ok {
-			ms = MemberState{URL: u, Group: gi}
-		}
-		ms.Drained = rt.drained[u]
-		if b, ok := rt.breakers[u]; ok {
-			ms.Breaker = b.current().String()
-		}
-		out = append(out, ms)
+	out := make([]MemberState, len(rt.groups[gi]))
+	for i, m := range rt.groups[gi] {
+		out[i] = rt.view(m)
 	}
 	return out
 }
 
+// find returns the member whose URL is url, or nil.
+func (rt *Router) find(url string) *member {
+	for _, m := range rt.members {
+		if m.url == url {
+			return m
+		}
+	}
+	return nil
+}
+
 // checkFailover promotes the freshest follower of any group whose
-// primary is down. One attempt per cooldown window per group; the next
-// poll observes the new topology.
+// primary has missed failoverPolls consecutive status polls. One attempt
+// per cooldown window per group; the next poll observes the new
+// topology.
 func (rt *Router) checkFailover(ctx context.Context) {
 	for gi := range rt.groups {
 		var primaryAlive, primaryDead bool
@@ -498,7 +493,7 @@ func (rt *Router) checkFailover(ctx context.Context) {
 			switch {
 			case ms.Role == string(RolePrimary) && ms.Healthy:
 				primaryAlive = true
-			case ms.Role == string(RolePrimary) && ms.Failures >= rt.opts.FailThreshold:
+			case ms.Role == string(RolePrimary) && ms.Failures >= failoverPolls:
 				primaryDead = true
 			case ms.Role == string(RoleFollower) && ms.Healthy && ms.Epoch != "":
 				candidates = append(candidates, ms)
@@ -534,46 +529,42 @@ func (rt *Router) promoteGroup(ctx context.Context, gi int, candidates []MemberS
 		}
 		return candidates[i].URL < candidates[j].URL
 	})
-	target := ""
+	var target *member
 	for _, c := range candidates {
 		if pick == "" || c.URL == pick {
-			target = c.URL
+			target = rt.find(c.URL)
 			break
 		}
 	}
-	if target == "" {
+	if target == nil {
 		return "", fmt.Errorf("fleet: no promotion candidate in group %d", gi)
 	}
-	rt.logf("fleet: router: promoting %s in group %d", target, gi)
-	res, err := NewClientWith(target, 2*time.Minute, rt.opts.Transport).Promote(ctx)
+	rt.logf("fleet: router: promoting %s in group %d", target.url, gi)
+	res, err := target.client.Promote(ctx)
 	if err != nil {
-		rt.logf("fleet: router: promote %s: %v", target, err)
+		rt.logf("fleet: router: promote %s: %v", target.url, err)
 		return "", err
 	}
-	rt.logf("fleet: router: %s promoted: %d records verified, epoch %s", target, res.Verified, res.NewEpoch)
+	rt.logf("fleet: router: %s promoted: %d records verified, epoch %s", target.url, res.Verified, res.NewEpoch)
 	failoversTotal.Inc()
-	rt.mu.Lock()
-	if ms, ok := rt.state[target]; ok {
-		ms.Role = string(RolePrimary)
-		ms.Primary = ""
-		ms.Healthy = true
-		ms.Failures = 0
-		rt.state[target] = ms
-	}
-	rt.mu.Unlock()
-	for _, u := range rt.groups[gi] {
-		if u == target {
+	target.mu.Lock()
+	target.state.Role = string(RolePrimary)
+	target.state.Primary = ""
+	target.state.Healthy = true
+	target.state.Failures = 0
+	target.mu.Unlock()
+	for _, m := range rt.groups[gi] {
+		if m == target {
 			continue
 		}
-		ms, ok := rt.member(u)
-		if !ok || ms.Role != string(RoleFollower) || !ms.Healthy {
+		if ms := rt.view(m); ms.Role != string(RoleFollower) || !ms.Healthy {
 			continue
 		}
-		if err := NewClientWith(u, rt.opts.HTTPTimeout, rt.opts.Transport).Follow(ctx, target); err != nil {
-			rt.logf("fleet: router: re-point %s at %s: %v", u, target, err)
+		if err := m.client.Follow(ctx, target.url); err != nil {
+			rt.logf("fleet: router: re-point %s at %s: %v", m.url, target.url, err)
 		}
 	}
-	return target, nil
+	return target.url, nil
 }
 
 // pickRead selects the member of group gi to serve a read, skipping
@@ -582,54 +573,56 @@ func (rt *Router) promoteGroup(ctx context.Context, gi int, candidates []MemberS
 // primary), then a healthy primary, then any healthy member (stale reads
 // beat no reads during a failover window). Members whose circuit
 // breaker is open are shed from every pool — their recovery is probed
-// by health polls, not client traffic.
-func (rt *Router) pickRead(gi int, tried map[string]bool) (string, bool) {
-	states := rt.groupStates(gi)
-	var followers, primaries, healthy []string
-	for _, ms := range states {
-		if ms.Drained || tried[ms.URL] || rt.breakerFor(ms.URL).current() != breakerClosed {
+// by health polls, not client traffic. nil means no member is left.
+func (rt *Router) pickRead(gi int, tried []*member) *member {
+	var pools [3][]*member // ready followers, healthy primaries, other healthy members
+	var fallback *member
+	for _, m := range rt.groups[gi] {
+		ms := rt.view(m)
+		if ms.Drained || slices.Contains(tried, m) {
 			continue
 		}
+		if fallback == nil {
+			fallback = m
+		}
 		switch {
+		case ms.Breaker == "open":
 		case ms.Role == string(RoleFollower) && ms.Healthy && ms.Ready:
-			followers = append(followers, ms.URL)
+			pools[0] = append(pools[0], m)
 		case ms.Role == string(RolePrimary) && ms.Healthy:
-			primaries = append(primaries, ms.URL)
+			pools[1] = append(pools[1], m)
 		case ms.Healthy:
-			healthy = append(healthy, ms.URL)
+			pools[2] = append(pools[2], m)
 		}
 	}
-	for _, pool := range [][]string{followers, primaries, healthy} {
+	for _, pool := range pools {
 		if len(pool) > 0 {
-			return pool[rt.rr.Add(1)%uint64(len(pool))], true
+			return pool[rt.rr.Add(1)%uint64(len(pool))]
 		}
 	}
 	// Nothing confirmed healthy; try anything undrained and untried
 	// rather than failing outright (the member may be back before the
 	// next poll, and an open breaker beats zero candidates).
-	for _, ms := range states {
-		if !ms.Drained && !tried[ms.URL] {
-			return ms.URL, true
-		}
-	}
-	return "", false
+	return fallback
 }
 
 // pickPrimary selects group gi's write target: the healthy primary, or
-// the last known primary as a best effort.
-func (rt *Router) pickPrimary(gi int) (string, bool) {
-	states := rt.groupStates(gi)
-	for _, ms := range states {
-		if ms.Role == string(RolePrimary) && ms.Healthy {
-			return ms.URL, true
+// the last known primary as a best effort; nil when it knows of none.
+func (rt *Router) pickPrimary(gi int) *member {
+	var known *member
+	for _, m := range rt.groups[gi] {
+		ms := rt.view(m)
+		if ms.Role != string(RolePrimary) {
+			continue
+		}
+		if ms.Healthy {
+			return m
+		}
+		if known == nil {
+			known = m
 		}
 	}
-	for _, ms := range states {
-		if ms.Role == string(RolePrimary) {
-			return ms.URL, true
-		}
-	}
-	return "", false
+	return known
 }
 
 // reply is a node's raw answer to a forwarded request.
@@ -642,25 +635,10 @@ type reply struct {
 	retryAfter string
 }
 
-// forward relays body to url+path and returns the raw response.
-func (rt *Router) forward(ctx context.Context, method, url, path string, body []byte) (reply, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url+path, rd)
-	if err != nil {
-		return reply{}, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	// Carry the request's trace across the hop so the node's logs join up
-	// with the router's.
-	if id := obs.TraceID(ctx); id != "" {
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := rt.hc.Do(req)
+// forward relays body, if not nil, to path on c's node and returns the
+// node's raw answer.
+func (c *Client) forward(ctx context.Context, method, path string, body []byte) (reply, error) {
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return reply{}, err
 	}
@@ -681,24 +659,21 @@ func (rt *Router) readGroup(ctx context.Context, gi int, body []byte) (reply, er
 	var (
 		rep     reply
 		lastErr error
+		tried   []*member
 	)
-	tried := make(map[string]bool)
-	attempts := rt.opts.RetryBudget + 1
-	if n := len(rt.groups[gi]); attempts > n {
-		attempts = n
-	}
+	attempts := min(rt.opts.RetryBudget+1, len(rt.groups[gi]))
 	for attempt := 0; attempt < attempts; attempt++ {
-		url, ok := rt.pickRead(gi, tried)
-		if !ok {
+		m := rt.pickRead(gi, tried)
+		if m == nil {
 			break
 		}
-		tried[url] = true
+		tried = append(tried, m)
 		if attempt > 0 {
 			retriesTotal.With("read").Inc()
 		}
-		r, err := rt.forward(ctx, http.MethodPost, url, "/v2/classify", body)
+		r, err := m.client.forward(ctx, http.MethodPost, "/v2/classify", body)
 		if ctx.Err() == nil {
-			rt.noteOutcome(url, err == nil && r.status < http.StatusInternalServerError)
+			rt.noteOutcome(m, err == nil && r.status < http.StatusInternalServerError)
 		}
 		if err != nil {
 			lastErr = err
@@ -769,38 +744,53 @@ func (rt *Router) unrouted() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for gi, src := range rt.sources {
-		if src == "" {
+		if src.m == nil {
 			return &server.StatusError{Status: http.StatusBadGateway, Msg: fmt.Sprintf("fleet: group %d has not reported its MAC sets", gi)}
 		}
 	}
 	return &server.StatusError{Status: http.StatusUnprocessableEntity, Msg: "fleet: no group attributes this scan"}
 }
 
-// learn adds an absorbed scan's MACs to building's set in group gi's last
-// report and, when one of them was new, publishes a rebuilt index, so a
-// later scan of only those MACs routes before the next poll. The node
-// registers every MAC of an absorb it accepts, so the source's next
-// report, which replaces the grown set, holds them too. A report's sets
-// are sorted (MACIndex.Sets), and stay so here.
+// learn adds an absorbed scan's MACs to building's set in the report of
+// group gi's index source and, when one of them was new, publishes a
+// rebuilt index, so a later scan of only those MACs routes before the
+// next poll. The node registers every MAC of an absorb it accepts, so
+// the source's next report, which replaces the grown one, holds them
+// too.
 func (rt *Router) learn(gi int, building string, readings []dataset.Reading) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	sets := rt.macs[rt.sources[gi]].sets
-	macs, ok := sets[building]
-	if !ok {
-		return
+	m := rt.sources[gi].m
+	rt.mu.Unlock()
+	if m != nil && m.learn(building, readings) {
+		rt.refreshIndex()
 	}
-	n := len(macs)
+}
+
+// learn replaces m's report with a copy whose building set also holds
+// the readings' MACs, kept sorted, and reports whether one was new.
+func (m *member) learn(building string, readings []dataset.Reading) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.macs == nil {
+		return false
+	}
+	macs, ok := m.macs.sets[building]
+	if !ok {
+		return false
+	}
+	grown := slices.Clone(macs)
 	for _, rd := range readings {
-		if i, found := slices.BinarySearch(macs, rd.MAC); !found {
-			macs = slices.Insert(macs, i, rd.MAC)
+		if i, found := slices.BinarySearch(grown, rd.MAC); !found {
+			grown = slices.Insert(grown, i, rd.MAC)
 		}
 	}
-	if len(macs) == n {
-		return
+	if len(grown) == len(macs) {
+		return false
 	}
-	sets[building] = macs
-	rt.publishIndexLocked()
+	sets := maps.Clone(m.macs.sets)
+	sets[building] = grown
+	m.macs = &memberMACs{version: m.macs.version, sets: sets}
+	return true
 }
 
 // result decodes a node's classify answer: a 200 into the Routed it
@@ -838,13 +828,13 @@ func (rt *Router) forwardWrite(ctx context.Context, gi int, path string, body []
 				break
 			}
 		}
-		primary, ok := rt.pickPrimary(gi)
-		if !ok {
+		primary := rt.pickPrimary(gi)
+		if primary == nil {
 			lastErr = fmt.Errorf("fleet: group %d has no primary", gi)
 			continue
 		}
 		var err error
-		rep, err = rt.forward(ctx, http.MethodPost, primary, path, body)
+		rep, err = primary.client.forward(ctx, http.MethodPost, path, body)
 		if ctx.Err() == nil {
 			rt.noteOutcome(primary, err == nil && rep.status < http.StatusInternalServerError)
 		}
@@ -858,7 +848,7 @@ func (rt *Router) forwardWrite(ctx context.Context, gi int, path string, body []
 		if !retryableWriteStatus(rep.status) {
 			return rep, nil
 		}
-		lastErr = fmt.Errorf("fleet: %s answered %d", primary, rep.status)
+		lastErr = fmt.Errorf("fleet: %s answered %d", primary.url, rep.status)
 	}
 	if rep.status != 0 {
 		// Out of budget with a definitive (retryable) status: relay it so
@@ -892,12 +882,12 @@ func (rt *Router) RemoveMAC(ctx context.Context, mac string) (int, error) {
 	found := false
 	var failed error
 	for gi := range rt.groups {
-		primary, ok := rt.pickPrimary(gi)
-		if !ok {
+		primary := rt.pickPrimary(gi)
+		if primary == nil {
 			failed = fmt.Errorf("fleet: group %d has no primary", gi)
 			continue
 		}
-		rep, err := rt.forward(ctx, http.MethodDelete, primary, "/v2/macs/"+url.PathEscape(mac), nil)
+		rep, err := primary.client.forward(ctx, http.MethodDelete, "/v2/macs/"+url.PathEscape(mac), nil)
 		switch {
 		case err != nil:
 			failed = err
@@ -910,7 +900,7 @@ func (rt *Router) RemoveMAC(ctx context.Context, mac string) (int, error) {
 			}
 			found = true
 		case rep.status != http.StatusNotFound:
-			failed = fmt.Errorf("fleet: retire on %s: %s", primary, errorMessage(rep.body, rep.status))
+			failed = fmt.Errorf("fleet: retire on %s: %s", primary.url, errorMessage(rep.body, rep.status))
 		}
 	}
 	switch {
@@ -931,13 +921,13 @@ func (rt *Router) Buildings() []string { return rt.index.Load().Buildings() }
 func (rt *Router) Stats(ctx context.Context) []portfolio.BuildingStats {
 	var out []portfolio.BuildingStats
 	for gi := range rt.groups {
-		url, ok := rt.pickPrimary(gi)
-		if !ok {
-			if url, ok = rt.pickRead(gi, nil); !ok {
+		m := rt.pickPrimary(gi)
+		if m == nil {
+			if m = rt.pickRead(gi, nil); m == nil {
 				continue
 			}
 		}
-		rep, err := rt.forward(ctx, http.MethodGet, url, "/v2/stats", nil)
+		rep, err := m.client.forward(ctx, http.MethodGet, "/v2/stats", nil)
 		if err != nil {
 			continue
 		}
@@ -1002,13 +992,13 @@ func (rt *Router) handleFleetPromote(w http.ResponseWriter, r *http.Request) {
 		gi = v
 	}
 	if pick != "" {
-		mg := rt.groupOf(pick)
-		if mg < 0 {
+		m := rt.find(pick)
+		if m == nil {
 			writeJSONError(w, http.StatusNotFound, fmt.Errorf("fleet: unknown member %q", pick))
 			return
 		}
 		if gi < 0 {
-			gi = mg
+			gi = m.group
 		}
 	}
 	if gi < 0 {
@@ -1045,26 +1035,15 @@ func (rt *Router) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 		}
 		undo = v
 	}
-	if rt.groupOf(member) < 0 {
+	m := rt.find(member)
+	if m == nil {
 		writeJSONError(w, http.StatusNotFound, fmt.Errorf("fleet: unknown member %q", member))
 		return
 	}
-	rt.mu.Lock()
-	rt.drained[member] = !undo
-	rt.mu.Unlock()
+	m.mu.Lock()
+	m.state.Drained = !undo
+	m.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"member": member, "drained": !undo})
-}
-
-// groupOf returns the index of the group member belongs to, or -1.
-func (rt *Router) groupOf(member string) int {
-	for gi, g := range rt.groups {
-		for _, u := range g {
-			if u == member {
-				return gi
-			}
-		}
-	}
-	return -1
 }
 
 // errorMessage extracts a node's {"error": ...} body, falling back to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -542,11 +543,12 @@ func TestRouterRoutesAbsorbedMACsBeforeNextPoll(t *testing.T) {
 	f.wantHops(t, "scan of the new MAC", before, 1)
 }
 
-// writeStubStatus answers a status poll as a primary whose one building
-// "b" holds one MAC, aa:bb:cc:dd:ee:01.
-func writeStubStatus(w http.ResponseWriter) {
+// writeStubStatus answers a status poll as a ready node in role whose
+// one building "b" holds one MAC, aa:bb:cc:dd:ee:01. It names an epoch,
+// so a follower can be promoted.
+func writeStubStatus(w http.ResponseWriter, role Role) {
 	json.NewEncoder(w).Encode(ReplStatus{
-		ReplInfo:    server.ReplInfo{Role: string(RolePrimary), Ready: true},
+		ReplInfo:    server.ReplInfo{Role: string(role), Ready: true, Epoch: "e1"},
 		MACsVersion: 1,
 		MACs:        map[string][]string{"b": {"aa:bb:cc:dd:ee:01"}},
 	})
@@ -561,7 +563,7 @@ func TestRouterSilentGroupIs502(t *testing.T) {
 			w.WriteHeader(http.StatusUnprocessableEntity) // as a node refuses an alien scan
 			return
 		}
-		writeStubStatus(w)
+		writeStubStatus(w, RolePrimary)
 	}))
 	defer node.Close()
 	silent := httptest.NewServer(http.NotFoundHandler())
@@ -626,7 +628,7 @@ func TestRouterReusesNodeConnections(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rep, err := rt.forward(context.Background(), http.MethodPost, node.URL, "/v2/classify", []byte("{}"))
+				rep, err := rt.members[0].client.forward(context.Background(), http.MethodPost, "/v2/classify", []byte("{}"))
 				if err != nil || rep.status != http.StatusOK {
 					t.Errorf("forward: status %d, err %v", rep.status, err)
 				}
@@ -944,7 +946,7 @@ func TestRouterAdminQueries(t *testing.T) {
 func TestRouterRelaysRetryAfter(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v2/repl/status" {
-			writeStubStatus(w)
+			writeStubStatus(w, RolePrimary)
 			return
 		}
 		w.Header().Set("Retry-After", "7")
@@ -1051,6 +1053,292 @@ func TestRouterScanRejectsWhatANodeRejects(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// stubMember is a fleet member stand-in. A status poll is answered by
+// writeStubStatus, or with a 500 while pollFails is set. Any other
+// request is counted by path and answered with code.
+type stubMember struct {
+	*httptest.Server
+	code      atomic.Int64
+	pollFails atomic.Bool
+
+	mu   sync.Mutex
+	hits map[string]int
+}
+
+func newStubMember(t *testing.T, role Role) *stubMember {
+	s := &stubMember{hits: make(map[string]int)}
+	s.code.Store(http.StatusOK)
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v2/repl/status" {
+			if s.pollFails.Load() {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			writeStubStatus(w, role)
+			return
+		}
+		s.mu.Lock()
+		s.hits[r.URL.Path]++
+		s.mu.Unlock()
+		w.WriteHeader(int(s.code.Load()))
+		w.Write([]byte(`{"building":"b","floor":1}`))
+	}))
+	t.Cleanup(s.Close)
+	return s
+}
+
+func (s *stubMember) count(path string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hits[path]
+}
+
+// TestRouterBreakerShedsReadsAndFailoverFollowsPolls pins what each
+// failure count drives. No health loop runs: the test polls by hand.
+//
+//   - A follower whose classify answers 500 fails over to its sibling
+//     within the request. After BreakerThreshold such failures its
+//     breaker opens, /v2/admin/fleet says so and
+//     grafics_fleet_breaker_opens_total rises by one, and it gets no
+//     reads until a successful poll closes the breaker.
+//   - A primary that answers 503 to every forwarded absorb opens its
+//     breaker too, but is not failed over: failover follows three
+//     consecutive failed status polls, and only then promotes its
+//     follower.
+func TestRouterBreakerShedsReadsAndFailoverFollowsPolls(t *testing.T) {
+	const threshold = 2
+	ctx := context.Background()
+	scan := scanOf("s", []string{"aa:bb:cc:dd:ee:01"})
+	newRouter := func(opts RouterOptions) (*Router, *httptest.Server) {
+		t.Helper()
+		opts.BreakerThreshold = threshold
+		rt, err := NewRouter(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Stop)
+		rt.pollAll(ctx)
+		srv := httptest.NewServer(rt)
+		t.Cleanup(srv.Close)
+		return rt, srv
+	}
+	breaker := func(srv *httptest.Server, member int) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v2/admin/fleet")
+		if err != nil {
+			t.Fatalf("GET /v2/admin/fleet: %v", err)
+		}
+		defer resp.Body.Close()
+		var fs FleetStatus
+		if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
+			t.Fatalf("decode fleet: %v", err)
+		}
+		return fs.Groups[0].Members[member].Breaker
+	}
+
+	t.Run("breaker sheds reads", func(t *testing.T) {
+		primary, bad, good := newStubMember(t, RolePrimary), newStubMember(t, RoleFollower), newStubMember(t, RoleFollower)
+		bad.code.Store(http.StatusInternalServerError)
+		rt, srv := newRouter(RouterOptions{Groups: [][]string{{primary.URL, bad.URL, good.URL}}})
+		read := func() {
+			t.Helper()
+			if status, body := postClassify(t, srv.URL, "/v2/classify", &scan, false); status != http.StatusOK || body["building"] != "b" {
+				t.Fatalf("read: status %d body %v, want 200 from the good follower", status, body)
+			}
+		}
+		opens := breakerOpensTotal.Load()
+		reads := 0
+		for ; bad.count("/v2/classify") < threshold; reads++ {
+			if reads == 4*threshold {
+				t.Fatalf("%d reads reached the failing follower %d times, want %d", reads, bad.count("/v2/classify"), threshold)
+			}
+			read()
+		}
+		if got := good.count("/v2/classify"); got != reads {
+			t.Fatalf("%d reads, %d answered by the good follower; each should end there", reads, got)
+		}
+		if got := breaker(srv, 1); got != "open" {
+			t.Fatalf("after %d failed reads the breaker is %q, want open", threshold, got)
+		}
+		if got := breakerOpensTotal.Load() - opens; got != 1 {
+			t.Errorf("breaker opens: +%d, want +1", got)
+		}
+		for i := 0; i < 4; i++ {
+			read()
+		}
+		if got := bad.count("/v2/classify"); got != threshold {
+			t.Fatalf("an open breaker let %d reads through", got-threshold)
+		}
+		if got := primary.count("/v2/classify"); got != 0 {
+			t.Errorf("the primary served %d reads while a follower was ready", got)
+		}
+
+		rt.pollAll(ctx)
+		if got := breaker(srv, 1); got != "closed" {
+			t.Fatalf("after a successful poll the breaker is %q, want closed", got)
+		}
+		for i := 0; bad.count("/v2/classify") == threshold; i++ {
+			if i == 4 {
+				t.Fatal("a closed breaker still sheds the follower's reads")
+			}
+			read()
+		}
+		if got := breakerOpensTotal.Load() - opens; got != 1 {
+			t.Errorf("breaker opens: +%d, want +1", got)
+		}
+	})
+
+	t.Run("failover follows polls", func(t *testing.T) {
+		primary, follower := newStubMember(t, RolePrimary), newStubMember(t, RoleFollower)
+		primary.code.Store(http.StatusServiceUnavailable)
+		rt, srv := newRouter(RouterOptions{Groups: [][]string{{primary.URL, follower.URL}}, RetryBudget: 1})
+		for i := 0; i < threshold; i++ {
+			if status, body := postClassify(t, srv.URL, "/v2/absorb", &scan, true); status != http.StatusServiceUnavailable {
+				t.Fatalf("absorb: status %d body %v, want the primary's 503", status, body)
+			}
+		}
+		if got := breaker(srv, 0); got != "open" {
+			t.Fatalf("after %d failed forwards the primary's breaker is %q, want open", 2*threshold, got)
+		}
+		rt.checkFailover(ctx)
+		if n := follower.count("/v2/admin/promote"); n != 0 {
+			t.Fatalf("a primary that answers its polls was failed over (%d promotes)", n)
+		}
+		primary.pollFails.Store(true)
+		for polls := 1; polls <= 3; polls++ {
+			rt.pollAll(ctx)
+			rt.checkFailover(ctx)
+			want := 0
+			if polls == 3 {
+				want = 1
+			}
+			if n := follower.count("/v2/admin/promote"); n != want {
+				t.Fatalf("after %d failed polls: %d promotes, want %d", polls, n, want)
+			}
+		}
+	})
+}
+
+// TestRouterReadsDuringIndexBuild: an index build holds only the
+// router's build lock from its start to its publish, and no read takes
+// that lock, so routed reads complete while a build is in progress.
+func TestRouterReadsDuringIndexBuild(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+	f.router.build.Lock()
+	defer f.router.build.Unlock()
+	read := func(rec dataset.Record) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.router.ClassifyRouted(ctx, &rec)
+			done <- err
+		}()
+		return done
+	}
+	for _, tc := range []struct {
+		name string
+		rec  dataset.Record
+		want int // HTTP status
+	}{
+		{"routed read", f.pools[1][0], http.StatusOK},
+		{"scan no group attributes", scanOf("alien", []string{"de:ad:00:00:00:01"}), http.StatusUnprocessableEntity},
+	} {
+		select {
+		case err := <-read(tc.rec):
+			var se *server.StatusError
+			switch {
+			case tc.want == http.StatusOK && err != nil:
+				t.Errorf("%s: %v", tc.name, err)
+			case tc.want != http.StatusOK && (!errors.As(err, &se) || se.Status != tc.want):
+				t.Errorf("%s: %v, want status %d", tc.name, err, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited for the index build", tc.name)
+		}
+	}
+}
+
+// TestRouterIndexUnderConcurrentReadsAbsorbsAndPolls interleaves routed
+// reads, routed absorbs that each bring a new MAC, and polls. Afterwards
+// the published index must route like a fresh build of its sources'
+// reports, and once a last poll has run, every absorbed MAC must route
+// to the group that absorbed it.
+func TestRouterIndexUnderConcurrentReadsAbsorbsAndPolls(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newShardFleet(t, ctx, 1)
+	rt := f.router
+	const rounds = 12
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		learned = make(map[string]int) // absorbed MAC → group
+	)
+	for g, pool := range f.pools {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rec, mac := uniqueScan(pool[i%len(pool)], 1000*g+i)
+				if _, err := rt.ClassifyRouted(ctx, &rec, core.WithAbsorb()); err != nil {
+					t.Errorf("absorb %s: %v", rec.ID, err)
+					return
+				}
+				mu.Lock()
+				learned[mac] = g
+				mu.Unlock()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*rounds; i++ {
+				if _, err := rt.ClassifyRouted(ctx, &pool[i%len(pool)]); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			rt.pollAll(ctx)
+		}
+	}()
+	wg.Wait()
+	rt.Stop()
+
+	srcs := make([]source, len(rt.groups))
+	for gi := range srcs {
+		srcs[gi] = rt.indexSource(gi)
+	}
+	published, fresh := rt.index.Load(), buildIndex(srcs)
+	sets := fresh.Sets()
+	if got := published.Sets(); !maps.EqualFunc(got, sets, slices.Equal) {
+		t.Fatalf("published index holds %d buildings' sets that differ from a fresh build's %d", len(got), len(sets))
+	}
+	for _, macs := range sets {
+		for _, mac := range macs {
+			readings := scanOf("", []string{mac}).Readings
+			pg, pok := published.Route(readings)
+			fg, fok := fresh.Route(readings)
+			if pg != fg || pok != fok {
+				t.Fatalf("MAC %s: published index routes to %d (%v), a fresh build to %d (%v)", mac, pg, pok, fg, fok)
+			}
+		}
+	}
+
+	rt.pollAll(ctx)
+	idx := rt.index.Load()
+	for mac, g := range learned {
+		if got, ok := idx.Route(scanOf("", []string{mac}).Readings); !ok || got != g {
+			t.Errorf("absorbed MAC %s routes to group %d (%v), want %d", mac, got, ok, g)
 		}
 	}
 }

@@ -48,7 +48,6 @@ func TestTracePropagatesRouterToPrimary(t *testing.T) {
 	router, err := NewRouter(RouterOptions{
 		Groups:         [][]string{{pSrv.URL}},
 		HealthInterval: 100 * time.Millisecond,
-		HTTPTimeout:    5 * time.Second,
 		Logf:           t.Logf,
 	})
 	if err != nil {

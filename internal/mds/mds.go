@@ -1,15 +1,13 @@
 // Package mds implements multidimensional scaling for the MDS+Prox
 // baseline of the GRAFICS evaluation (§VI-A): classical (Torgerson) MDS via
-// double centering and a power-iteration eigensolver, plus the iterative
-// SMACOF stress-majorization variant. The paper's setup uses the pairwise
-// dissimilarity 1 − cosine(a, b) over fingerprint vectors, provided here as
-// CosineDissimilarity.
+// double centering and a power-iteration eigensolver. The paper's setup
+// uses the pairwise dissimilarity 1 − cosine(a, b) over fingerprint
+// vectors, provided here as CosineDissimilarity.
 package mds
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/linalg"
 )
@@ -71,98 +69,4 @@ func Classical(diss *linalg.Matrix, k int, seed int64) ([][]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// SMACOFOptions configures the SMACOF iteration.
-type SMACOFOptions struct {
-	MaxIter int
-	// Eps stops iteration when the relative stress improvement drops
-	// below it.
-	Eps  float64
-	Seed int64
-}
-
-// DefaultSMACOFOptions returns sensible defaults.
-func DefaultSMACOFOptions() SMACOFOptions {
-	return SMACOFOptions{MaxIter: 200, Eps: 1e-6, Seed: 1}
-}
-
-// SMACOF minimizes raw stress Σ (d_ij − δ_ij)² by majorization, returning
-// k-dimensional coordinates. It handles non-Euclidean dissimilarities more
-// gracefully than classical MDS at higher cost per iteration.
-func SMACOF(diss *linalg.Matrix, k int, opts SMACOFOptions) ([][]float64, float64, error) {
-	if diss.Rows != diss.Cols {
-		return nil, 0, fmt.Errorf("mds: dissimilarity matrix %dx%d not square: %w", diss.Rows, diss.Cols, linalg.ErrDimensionMismatch)
-	}
-	n := diss.Rows
-	if k <= 0 || (n > 0 && k > n) {
-		return nil, 0, fmt.Errorf("mds: k=%d outside [1,%d]", k, n)
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 200
-	}
-	if opts.Eps <= 0 {
-		opts.Eps = 1e-6
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	x := make([][]float64, n)
-	for i := range x {
-		x[i] = make([]float64, k)
-		for d := range x[i] {
-			x[i][d] = rng.NormFloat64()
-		}
-	}
-	dist := func(a, b []float64) float64 { return linalg.Distance(a, b) }
-	stress := func(x [][]float64) float64 {
-		var s float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d := dist(x[i], x[j]) - diss.At(i, j)
-				s += d * d
-			}
-		}
-		return s
-	}
-	prev := stress(x)
-	next := make([][]float64, n)
-	for i := range next {
-		next[i] = make([]float64, k)
-	}
-	for it := 0; it < opts.MaxIter; it++ {
-		// Guttman transform with uniform weights: X' = (1/n) B(X) X.
-		for i := range next {
-			for d := range next[i] {
-				next[i][d] = 0
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				dij := dist(x[i], x[j])
-				var ratio float64
-				if dij > 1e-12 {
-					ratio = diss.At(i, j) / dij
-				}
-				for d := 0; d < k; d++ {
-					next[i][d] += ratio * (x[i][d] - x[j][d])
-				}
-			}
-		}
-		inv := 1 / float64(n)
-		for i := range next {
-			for d := range next[i] {
-				next[i][d] *= inv
-			}
-		}
-		x, next = next, x
-		cur := stress(x)
-		if prev-cur < opts.Eps*(prev+1e-12) {
-			prev = cur
-			break
-		}
-		prev = cur
-	}
-	return x, prev, nil
 }

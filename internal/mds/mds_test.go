@@ -70,41 +70,3 @@ func TestClassicalErrors(t *testing.T) {
 		t.Error("k>n should error")
 	}
 }
-
-func TestSMACOFReducesStress(t *testing.T) {
-	pts := [][]float64{{0, 0}, {1, 0}, {0, 1}, {5, 5}, {6, 5}, {5, 6}}
-	diss := pointsToDiss(pts)
-	coords, stress, err := SMACOF(diss, 2, DefaultSMACOFOptions())
-	if err != nil {
-		t.Fatalf("SMACOF: %v", err)
-	}
-	if len(coords) != len(pts) {
-		t.Fatalf("coords = %d, want %d", len(coords), len(pts))
-	}
-	if stress > 0.5 {
-		t.Errorf("final stress %v too high for embeddable config", stress)
-	}
-	// Cluster structure preserved: points 0-2 mutually closer than to 3-5.
-	for i := 0; i < 3; i++ {
-		for j := 3; j < 6; j++ {
-			inter := linalg.Distance(coords[i], coords[j])
-			for k := 0; k < 3; k++ {
-				if k == i {
-					continue
-				}
-				if intra := linalg.Distance(coords[i], coords[k]); intra >= inter {
-					t.Fatalf("SMACOF destroyed cluster structure: intra %v >= inter %v", intra, inter)
-				}
-			}
-		}
-	}
-}
-
-func TestSMACOFErrors(t *testing.T) {
-	if _, _, err := SMACOF(linalg.NewMatrix(2, 3), 1, DefaultSMACOFOptions()); err == nil {
-		t.Error("non-square should error")
-	}
-	if _, _, err := SMACOF(linalg.NewMatrix(3, 3), 0, DefaultSMACOFOptions()); err == nil {
-		t.Error("k=0 should error")
-	}
-}

@@ -99,32 +99,6 @@ func (c *crop) Backward(grad []float64) []float64 {
 // Params implements Layer.
 func (c *crop) Params() []*Tensor { return nil }
 
-// NewDenseAutoencoder builds a symmetric dense autoencoder with the given
-// hidden layer widths down to latentDim (e.g. hidden = [256, 64]).
-func NewDenseAutoencoder(inputDim, latentDim int, hidden []int, rng *rand.Rand) (*Autoencoder, error) {
-	if inputDim <= 0 || latentDim <= 0 {
-		return nil, fmt.Errorf("nn: invalid autoencoder dims in=%d latent=%d", inputDim, latentDim)
-	}
-	dims := append([]int{inputDim}, hidden...)
-	dims = append(dims, latentDim)
-	enc := &Network{}
-	for i := 0; i+1 < len(dims); i++ {
-		enc.Layers = append(enc.Layers, NewDense(dims[i], dims[i+1], rng))
-		if i+2 < len(dims) {
-			enc.Layers = append(enc.Layers, &ReLU{})
-		}
-	}
-	dec := &Network{}
-	for i := len(dims) - 1; i > 0; i-- {
-		dec.Layers = append(dec.Layers, NewDense(dims[i], dims[i-1], rng))
-		if i > 1 {
-			dec.Layers = append(dec.Layers, &ReLU{})
-		}
-	}
-	full := &Network{Layers: append(append([]Layer{}, enc.Layers...), dec.Layers...)}
-	return &Autoencoder{Encoder: enc, Decoder: dec, Full: full}, nil
-}
-
 // StackedAutoencoder performs greedy layer-wise pretraining of a dense
 // encoder (the SAE of Nowicki & Wietrzykowski), returning the pretrained
 // encoder network. Each stage trains a one-hidden-layer autoencoder on the

@@ -254,32 +254,6 @@ func TestConvAutoencoderErrors(t *testing.T) {
 	}
 }
 
-func TestDenseAutoencoder(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ae, err := NewDenseAutoencoder(10, 2, []int{6}, rng)
-	if err != nil {
-		t.Fatalf("NewDenseAutoencoder: %v", err)
-	}
-	var inputs [][]float64
-	for i := 0; i < 30; i++ {
-		x := make([]float64, 10)
-		for j := range x {
-			x[j] = float64((i+j)%3) / 3
-		}
-		inputs = append(inputs, x)
-	}
-	before := reconLoss(ae, inputs)
-	if _, err := Fit(ae.Full, inputs, inputs, MSE{}, NewAdam(0.01), FitConfig{Epochs: 100, Seed: 3}); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if after := reconLoss(ae, inputs); after >= before {
-		t.Errorf("dense AE did not improve: %v -> %v", before, after)
-	}
-	if _, err := NewDenseAutoencoder(0, 2, nil, rng); err == nil {
-		t.Error("bad dims should error")
-	}
-}
-
 func TestStackedAutoencoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var inputs [][]float64

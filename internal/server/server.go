@@ -134,8 +134,8 @@ const maxBatchScans = 10000
 // deployment; a standalone daemon has no replication to report). The
 // positions are WAL coordinates in the primary's epoch.
 type ReplInfo struct {
-	// Role is the node's serving role: "single", "primary", or
-	// "follower".
+	// Role is the node's serving role: "primary" or "follower", or
+	// "router" for a fleet router.
 	Role string `json:"role"`
 	// Primary is the upstream base URL a follower replicates from.
 	Primary string `json:"primary,omitempty"`

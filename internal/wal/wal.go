@@ -561,24 +561,10 @@ func (l *Log) Close() error {
 // returning an error aborts with that error.
 func Replay(dir string, fn func(Record) error) (int, error) {
 	segs, err := segments(dir)
-	if err != nil {
+	if err != nil || len(segs) == 0 {
 		return 0, err
 	}
-	total := 0
-	for _, seg := range segs {
-		n, err := replaySegment(segPath(dir, seg), fn)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// replaySegment replays one segment file up to its seal, its torn tail,
-// or its end.
-func replaySegment(path string, fn func(Record) error) (int, error) {
-	n, _, _, err := replaySegmentFrom(path, 0, fn)
+	_, n, err := ReplayFrom(dir, Position{Seg: segs[0]}, fn)
 	return n, err
 }
 
@@ -692,7 +678,8 @@ func SegmentPath(dir string, index int) string { return segPath(dir, index) }
 // returned position picks up exactly where this call stopped, which is
 // how a replication follower tails a shipped log incrementally.
 //
-// Semantics at the edges mirror Replay's: a seal advances to the next
+// Replay is ReplayFrom from the oldest segment, so the edges are the
+// same for both: a seal advances to the next
 // segment; a torn tail in an unsealed segment stops that segment cleanly
 // at the start of the bad frame (and, when a later segment exists — the
 // crash-debris case — skips over it); the same damage in a sealed
